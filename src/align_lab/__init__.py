@@ -15,7 +15,7 @@ from .errors import (AlignLabError, DegenerateSpan, DimensionMismatch, InvalidSp
 from .model import (ChannelSet, ChannelStructure, IaSolution, StructureKind,
                     SystemConfig, block_diagonal_config, diagonal_config,
                     generic_config, sample_channels, validate_config)
-from .probe import ProbeReport, assemble_channels, build_p_matrix, run_probe
+from .probe import ProbeReport, assemble_channels, run_probe
 from .solve import (Classification, FeasibilityVerdict, SolverOptions, classify,
                     minimize_leakage)
 from .verify import VerificationResult, check, leakage, normalize_gauge
@@ -29,7 +29,7 @@ __all__ = [
     "PropernessReport", "RankDeficient", "SingularChannel", "SingularGaugeBlock",
     "SolverOptions", "StreamOverflow", "StructureKind", "SystemConfig",
     "VerificationResult", "assemble_channels", "block_diagonal_config",
-    "build_instance", "build_p_matrix", "check", "cj_parameters", "classify",
+    "build_instance", "check", "cj_parameters", "classify",
     "construct", "diagonal_config", "equation_count", "exceeds_tdma",
     "generic_config", "improper_by_threshold", "is_proper", "leakage",
     "min_improper_n", "minimize_leakage", "normalize_gauge", "run_probe",

@@ -26,7 +26,7 @@ from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficie
                      SingularChannel, SingularGaugeBlock, StreamOverflow)
 from .model import (ChannelSet, SystemConfig, channels_from_json, channels_to_json,
                     config_from_json, config_to_json, diagonal_config,
-                    iter_free_entries, sample_channels, solution_from_json,
+                    pair_support, sample_channels, solution_from_json,
                     solution_to_json, validate_config, with_seed)
 from .solve import SolverOptions, classify, run_record_row, verdict_to_json
 from .verify import TOL_ALIGN, check, result_to_json
@@ -219,10 +219,6 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
     if ch.K != cfg.K or ch.N != cfg.N:
         raise DimensionMismatch(f"channels K={ch.K}, N={ch.N} do not match "
                                 f"config K={cfg.K}, N={cfg.N}")
-    positions: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j, k, t, r in iter_free_entries(cfg):
-        positions.setdefault((j, k), []).append((t, r))
-
     structure = cfg.structure.kind.value
     if cfg.structure.subcarriers is not None:
         structure += f"/{cfg.structure.subcarriers}"
@@ -236,26 +232,22 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
         for k in range(cfg.K):
             if j == k:
                 continue
-            h = ch.matrices[j][k]
+            rows, cols = pair_support(cfg, j, k)
+            coeffs = ch.matrices[j][k][rows, cols]
+            text = [_fmt_coeff(z) for z in coeffs.tolist()]
+            u_free, v_free = rows >= cfg.d[j], cols >= cfg.d[k]
             for m in range(cfg.d[j]):
+                # a gauge row t < d_j is the identity: it enters equation m = t only
+                in_m = (coeffs != 0) & (u_free | (rows == m))
                 for n in range(cfg.d[k]):
                     terms = []
-                    for t, r in positions[(j, k)]:
-                        coeff = h[t, r]
-                        if coeff == 0:
-                            continue
-                        factors = []
-                        if t < cfg.d[j]:
-                            if t != m:
-                                continue
-                        else:
-                            factors.append(f"u_{j}_{t}_{m}")
-                        if r < cfg.d[k]:
-                            if r != n:
-                                continue
-                        else:
-                            factors.append(f"v_{k}_{r}_{n}")
-                        terms.append("*".join([_fmt_coeff(coeff)] + factors))
+                    for i in np.flatnonzero(in_m & (v_free | (cols == n))).tolist():
+                        factors = [text[i]]
+                        if u_free[i]:
+                            factors.append(f"u_{j}_{rows[i]}_{m}")
+                        if v_free[i]:
+                            factors.append(f"v_{k}_{cols[i]}_{n}")
+                        terms.append("*".join(factors))
                     lines.append(" + ".join(terms) if terms else "(0.0,0.0)")
     return "\n".join(lines) + "\n"
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import (StructureKind, SystemConfig, config_to_json, diagonal_config,
-                    free_entry_count, validate_config)
+from .model import StructureKind, SystemConfig, diagonal_config, validate_config
 
 __all__ = [
     "CjParameters",
@@ -40,7 +39,6 @@ __all__ = [
     "improper_by_threshold",
     "dim_channel_space",
     "sparse_dim_deficit",
-    "properness_record",
     "bound_sweep_rows",
 ]
 
@@ -183,13 +181,20 @@ def improper_by_threshold(K: int, n: int) -> bool:
 
 
 def dim_channel_space(cfg: SystemConfig) -> int:
-    """Dimension of the space of structured cross channels.
+    """Dimension of the space of structured cross channels (closed form).
 
     Counts the free entries of all H[j][k], j != k; direct channels never
-    enter the alignment equations. Named so the bound pipeline reads like the
-    derivation it implements.
+    enter the alignment equations. Generic: sum N_j*N_k; diagonal:
+    K(K-1)*N_s; block-diagonal: sum N_c*M_j*M_k, all over ordered pairs
+    j != k.
     """
-    return free_entry_count(cfg, include_direct=False)
+    validate_config(cfg)
+    kind = cfg.structure.kind
+    if kind is StructureKind.DIAGONAL:
+        return cfg.K * (cfg.K - 1) * cfg.n_s
+    sizes = cfg.N if kind is StructureKind.GENERIC else cfg.M
+    n_c = cfg.structure.subcarriers or 1
+    return n_c * (sum(sizes) ** 2 - sum(m * m for m in sizes))
 
 
 def sparse_dim_deficit(cfg: SystemConfig) -> int:
@@ -200,19 +205,6 @@ def sparse_dim_deficit(cfg: SystemConfig) -> int:
     argument behind the properness bound cannot apply to this structure.
     """
     return equation_count(cfg.d) - dim_channel_space(cfg)
-
-
-def properness_record(cfg: SystemConfig) -> dict:
-    """JSON-ready record of all counts for one config."""
-    report = is_proper(cfg)
-    return {
-        "config": config_to_json(cfg),
-        "N_e": report.N_e,
-        "N_v": report.N_v,
-        "proper": report.proper,
-        "dim_H": dim_channel_space(cfg),
-        "deficit": sparse_dim_deficit(cfg),
-    }
 
 
 def bound_sweep_rows(K_values: Iterable[int], n_values: Iterable[int],

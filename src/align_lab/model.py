@@ -34,9 +34,7 @@ __all__ = [
     "IaSolution",
     "validate_config",
     "sample_channels",
-    "free_entry_count",
-    "iter_free_entries",
-    "conforms_to_structure",
+    "pair_support",
     "substream",
     "complex_normal",
     "generic_config",
@@ -174,60 +172,25 @@ def validate_config(cfg: SystemConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# free-entry enumeration
+# free-entry layout
 
-def _pair_free_positions(cfg: SystemConfig, j: int, k: int) -> Iterator[tuple[int, int]]:
-    """Yield (row, col) of the free entries of H[j][k], in canonical order."""
+def pair_support(cfg: SystemConfig, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the free entries of H[j][k], in canonical order.
+
+    Generic: all N_j x N_k entries, row-major. Diagonal: the N_s diagonal
+    entries. Block-diagonal: the N_c blocks of M_j x M_k on the diagonal,
+    block by block, row-major within a block. Stacking the cross pairs
+    (j, k), j != k, in lexicographic order gives the canonical layout of the
+    free cross-channel vector.
+    """
     kind = cfg.structure.kind
     if kind is StructureKind.GENERIC:
-        for t in range(cfg.N[j]):
-            for r in range(cfg.N[k]):
-                yield t, r
-    elif kind is StructureKind.DIAGONAL:
-        for t in range(cfg.N[j]):
-            yield t, t
-    else:
-        n_c = cfg.structure.subcarriers
-        mj, mk = cfg.M[j], cfg.M[k]
-        for b in range(n_c):
-            for p in range(mj):
-                for q in range(mk):
-                    yield b * mj + p, b * mk + q
-
-
-def iter_free_entries(cfg: SystemConfig,
-                      include_direct: bool = False) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (j, k, row, col) over all free channel entries.
-
-    Pairs are visited in lexicographic (j, k) order, direct pairs j == k
-    skipped unless ``include_direct``. This ordering is the canonical layout
-    of the stacked channel coefficient vector used elsewhere.
-    """
-    for j in range(cfg.K):
-        for k in range(cfg.K):
-            if j == k and not include_direct:
-                continue
-            for t, r in _pair_free_positions(cfg, j, k):
-                yield j, k, t, r
-
-
-def free_entry_count(cfg: SystemConfig, include_direct: bool = False) -> int:
-    """Number of free channel entries across ordered pairs (closed form).
-
-    With ``include_direct=False`` this is the dimension of the space of cross
-    channels: generic sum N_j*N_k, diagonal K(K-1)*N_s, block-diagonal sum
-    N_c*M_j*M_k over ordered pairs j != k.
-    """
-    validate_config(cfg)
-    pairs = [(j, k) for j in range(cfg.K) for k in range(cfg.K)
-             if include_direct or j != k]
-    kind = cfg.structure.kind
-    if kind is StructureKind.GENERIC:
-        return sum(cfg.N[j] * cfg.N[k] for j, k in pairs)
+        return np.divmod(np.arange(cfg.N[j] * cfg.N[k]), cfg.N[k])
     if kind is StructureKind.DIAGONAL:
-        return len(pairs) * cfg.n_s
-    n_c = cfg.structure.subcarriers
-    return sum(n_c * cfg.M[j] * cfg.M[k] for j, k in pairs)
+        return np.arange(cfg.N[j]), np.arange(cfg.N[k])
+    m_j, m_k = cfg.M[j], cfg.M[k]
+    b, p, q = np.indices((cfg.structure.subcarriers, m_j, m_k)).reshape(3, -1)
+    return b * m_j + p, b * m_k + q
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +214,12 @@ def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """All K*K channel matrices of one instance; immutable after construction."""
+    """All K*K channel matrices of one instance; immutable after construction.
+
+    A read-only complex array that owns its data is taken over without a
+    copy; its creator hands it over and must not make it writeable again.
+    Any other input is copied.
+    """
 
     matrices: tuple[tuple[np.ndarray, ...], ...]
 
@@ -267,7 +235,10 @@ class ChannelSet:
                                         f"entries for K={K}")
             row = []
             for k in range(K):
-                h = np.array(self.matrices[j][k], dtype=complex)
+                h = self.matrices[j][k]
+                if not (type(h) is np.ndarray and h.dtype == complex
+                        and h.flags.owndata and not h.flags.writeable):
+                    h = np.array(h, dtype=complex)
                 if h.ndim != 2 or h.shape != (dims_rx[j], dims_rx[k]):
                     raise DimensionMismatch(
                         f"H[{j}][{k}] has shape {h.shape}, expected "
@@ -307,32 +278,13 @@ def sample_channels(cfg: SystemConfig) -> ChannelSet:
     for j in range(cfg.K):
         row = []
         for k in range(cfg.K):
-            positions = list(_pair_free_positions(cfg, j, k))
-            draws = complex_normal(substream(cfg.seed, j, k), len(positions))
+            rows, cols = pair_support(cfg, j, k)
             h = np.zeros((cfg.N[j], cfg.N[k]), dtype=complex)
-            for (t, r), value in zip(positions, draws):
-                h[t, r] = value
+            h[rows, cols] = complex_normal(substream(cfg.seed, j, k), rows.size)
+            h.flags.writeable = False
             row.append(h)
-        mats.append(row)
-    return ChannelSet(tuple(tuple(row) for row in mats))
-
-
-def conforms_to_structure(ch: ChannelSet, cfg: SystemConfig,
-                          include_direct: bool = True) -> bool:
-    """True iff every entry outside the structure's free pattern is exactly zero."""
-    validate_config(cfg)
-    if ch.K != cfg.K or ch.N != cfg.N:
-        return False
-    for j in range(cfg.K):
-        for k in range(cfg.K):
-            if j == k and not include_direct:
-                continue
-            mask = np.zeros((cfg.N[j], cfg.N[k]), dtype=bool)
-            for t, r in _pair_free_positions(cfg, j, k):
-                mask[t, r] = True
-            if np.any(ch.matrices[j][k][~mask] != 0):
-                return False
-    return True
+        mats.append(tuple(row))
+    return ChannelSet(tuple(mats))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +365,9 @@ def _matrix_to_json(h: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    h = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    h.flags.writeable = False
+    return h
 
 
 def channels_to_json(ch: ChannelSet) -> list:

@@ -17,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import dim_channel_space, equation_count
+from .counting import dim_channel_space
 from .errors import DimensionMismatch
-from .model import (ChannelSet, IaSolution, StructureKind, SystemConfig,
-                    complex_normal, iter_free_entries, substream, validate_config)
+from .model import (ChannelSet, IaSolution, SystemConfig, complex_normal,
+                    pair_support, substream, validate_config)
 from .subspaces import nullspace_basis, numerical_rank, orthonormal_columns
 
 __all__ = [
     "ProbeReport",
-    "build_p_matrix",
-    "nullspace",
+    "pair_block",
     "draw_random_solution",
     "run_probe",
     "assemble_channels",
@@ -55,68 +54,17 @@ class ProbeReport:
     filled: bool
 
 
-def _check_solution(cfg: SystemConfig, sol: IaSolution) -> None:
-    if sol.K != cfg.K:
-        raise DimensionMismatch(f"solution has {sol.K} users, config has {cfg.K}")
-    if sol.N != cfg.N:
-        raise DimensionMismatch(f"solution dimensions {sol.N} do not match "
-                                f"config dimensions {cfg.N}")
-    if sol.d != cfg.d:
-        raise DimensionMismatch(f"solution streams {sol.d} do not match "
-                                f"config streams {cfg.d}")
+def pair_block(u: np.ndarray, v: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Coefficients of pair (j, k)'s free entries in its own cross equations.
 
-
-def _pair_block(cfg: SystemConfig, u: np.ndarray, v: np.ndarray,
-                j: int, k: int) -> np.ndarray:
-    """Coefficients of pair (j, k)'s free entries in its own equations.
-
-    Rows are stream pairs (m, n) with n fastest; columns follow the canonical
-    free-entry order of the structure.
+    ``u`` is U^[j], ``v`` is V^[k] and (rows, cols) is ``pair_support(cfg,
+    j, k)``. Row (m, n), n fastest, holds the expansion of entry (m, n) of
+    (U^[j])^H H[j][k] V^[k]: conj(U^[j][t, m]) * V^[k][r, n] in the column
+    of free entry (t, r). P is block-diagonal with these blocks, pairs in
+    lexicographic order.
     """
-    kind = cfg.structure.kind
-    if kind is StructureKind.GENERIC:
-        return np.kron(u.conj().T, v.T)
-    if kind is StructureKind.DIAGONAL:
-        d_j, d_k = u.shape[1], v.shape[1]
-        return np.einsum("tm,tn->mnt", u.conj(), v).reshape(d_j * d_k, cfg.N[j])
-    n_c = cfg.structure.subcarriers
-    m_j, m_k = cfg.M[j], cfg.M[k]
-    d_j, d_k = u.shape[1], v.shape[1]
-    ub = u.reshape(n_c, m_j, d_j)
-    vb = v.reshape(n_c, m_k, d_k)
-    return np.einsum("bpm,bqn->mnbpq", ub.conj(), vb).reshape(d_j * d_k,
-                                                              n_c * m_j * m_k)
-
-
-def build_p_matrix(cfg: SystemConfig, sol: IaSolution) -> np.ndarray:
-    """Coefficient matrix of the free channel entries in the cross equations.
-
-    Row ((j,k), (m,n)) holds the expansion of entry (m, n) of
-    (U^[j])^H H[j][k] V^[k]; its only nonzero columns are pair (j, k)'s own,
-    with value conj(U^[j][t, m]) * V^[k][r, n] in the column of entry (t, r).
-    The matrix is therefore block-diagonal across ordered pairs, both pairs
-    and in-pair entries in canonical lexicographic order.
-    """
-    validate_config(cfg)
-    _check_solution(cfg, sol)
-    n_rows = equation_count(cfg.d)
-    n_cols = dim_channel_space(cfg)
-    p = np.zeros((n_rows, n_cols), dtype=complex)
-    row = col = 0
-    for j in range(cfg.K):
-        for k in range(cfg.K):
-            if j == k:
-                continue
-            block = _pair_block(cfg, sol.U[j], sol.V[k], j, k)
-            p[row:row + block.shape[0], col:col + block.shape[1]] = block
-            row += block.shape[0]
-            col += block.shape[1]
-    return p
-
-
-def nullspace(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the right nullspace; zero columns when trivial."""
-    return nullspace_basis(p)
+    return (u.conj()[rows, :, None] * v[cols, None, :]).reshape(rows.size, -1).T
 
 
 def draw_random_solution(cfg: SystemConfig, rng: np.random.Generator) -> IaSolution:
@@ -126,47 +74,40 @@ def draw_random_solution(cfg: SystemConfig, rng: np.random.Generator) -> IaSolut
     return IaSolution(V=vs, U=us)
 
 
-class _SpanAccumulator:
-    """Running column space of all accumulated nullspace vectors.
-
-    Columns are compressed to an orthonormal basis whenever they exceed four
-    times the ambient target, bounding memory for long runs without changing
-    the measured rank.
-    """
-
-    def __init__(self, dim: int, cap: int):
-        self._cols = np.zeros((dim, 0), dtype=complex)
-        self._cap = max(cap, 1)
-
-    def add(self, basis: np.ndarray) -> None:
-        if basis.shape[1] == 0:
-            return
-        self._cols = np.hstack([self._cols, basis])
-        if self._cols.shape[1] > self._cap:
-            self._cols, _ = orthonormal_columns(self._cols)
-
-    def rank(self) -> int:
-        return numerical_rank(self._cols)
+def _cross_supports(cfg: SystemConfig) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    return [(j, k, *pair_support(cfg, j, k))
+            for j in range(cfg.K) for k in range(cfg.K) if j != k]
 
 
 def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     """Draw (U, V) pairs, collect aligned-channel nullspaces, measure their span.
 
+    P is block-diagonal by ordered pair, so its nullspace is the direct sum
+    of the pairs' nullspaces and the span is measured pair by pair: a draw's
+    nullity and the span rank are sums over pairs. A pair's span is
+    compressed to an orthonormal basis whenever it exceeds four times the
+    pair's free-entry count, bounding memory without changing its rank.
     Deterministic given (cfg, draws, seed): draw i uses its own substream, and
     accumulation is a sequential reduction over draw index.
     """
     validate_config(cfg)
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
-    dim_target = dim_channel_space(cfg)
-    acc = _SpanAccumulator(dim_target, cap=4 * dim_target)
+    supports = _cross_supports(cfg)
+    spans = [np.zeros((rows.size, 0), dtype=complex) for _, _, rows, _ in supports]
     nullities = []
     for i in range(draws):
         sol = draw_random_solution(cfg, substream(seed, _DRAW_SALT, i))
-        basis = nullspace(build_p_matrix(cfg, sol))
-        nullities.append(basis.shape[1])
-        acc.add(basis)
-    span_rank = acc.rank()
+        nullity = 0
+        for s, (j, k, rows, cols) in enumerate(supports):
+            basis = nullspace_basis(pair_block(sol.U[j], sol.V[k], rows, cols))
+            nullity += basis.shape[1]
+            spans[s] = np.hstack([spans[s], basis])
+            if spans[s].shape[1] > 4 * rows.size:
+                spans[s], _ = orthonormal_columns(spans[s])
+        nullities.append(nullity)
+    span_rank = sum(numerical_rank(span) for span in spans)
+    dim_target = dim_channel_space(cfg)
     return ProbeReport(draws=draws,
                        nontrivial_draws=sum(1 for x in nullities if x >= 1),
                        per_draw_nullity=tuple(nullities),
@@ -179,9 +120,10 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
 def assemble_channels(cfg: SystemConfig, h: np.ndarray) -> ChannelSet:
     """Spread a free-entry vector back into a structured channel set.
 
-    Inverse of the canonical flattening: entry i of ``h`` lands at the i-th
-    position of ``iter_free_entries(cfg)``. Direct channels, which never
-    appear in the cross equations, are set to zero.
+    Inverse of the canonical flattening: the cross pairs' free entries, in
+    ``pair_support`` order, follow one another in lexicographic pair order.
+    Direct channels, which never appear in the cross equations, are set to
+    zero.
     """
     validate_config(cfg)
     h = np.asarray(h, dtype=complex).reshape(-1)
@@ -191,8 +133,13 @@ def assemble_channels(cfg: SystemConfig, h: np.ndarray) -> ChannelSet:
                                 f"structure has {expected} free cross entries")
     mats = [[np.zeros((cfg.N[j], cfg.N[k]), dtype=complex) for k in range(cfg.K)]
             for j in range(cfg.K)]
-    for value, (j, k, t, r) in zip(h, iter_free_entries(cfg)):
-        mats[j][k][t, r] = value
+    offset = 0
+    for j, k, rows, cols in _cross_supports(cfg):
+        mats[j][k][rows, cols] = h[offset:offset + rows.size]
+        offset += rows.size
+    for row in mats:
+        for m in row:
+            m.flags.writeable = False
     return ChannelSet(tuple(tuple(row) for row in mats))
 
 

@@ -25,7 +25,7 @@ from .errors import DegenerateSpan, DimensionMismatch, RankDeficient, SingularCh
 from .model import (ChannelSet, IaSolution, StructureKind, SystemConfig,
                     complex_normal, config_to_json, sample_channels, substream,
                     with_seed)
-from .verify import check
+from .verify import _cross_leakage, check
 
 __all__ = [
     "SolverOptions",
@@ -120,13 +120,6 @@ def _least_eigvecs(q: np.ndarray, d: int) -> np.ndarray:
     return _fix_phase(vecs[:, :d])
 
 
-def _leakage_orth(ch: ChannelSet, us: list[np.ndarray], vs: list[np.ndarray]) -> float:
-    total = 0.0
-    for j, k in ch.cross_pairs():
-        total += float(np.linalg.norm(us[j].conj().T @ ch.matrices[j][k] @ vs[k]) ** 2)
-    return total
-
-
 def minimize_leakage(ch: ChannelSet, d: tuple[int, ...], opts: SolverOptions,
                      rng: np.random.Generator | None = None
                      ) -> tuple[IaSolution, list[float]]:
@@ -182,13 +175,13 @@ def minimize_leakage(ch: ChannelSet, d: tuple[int, ...], opts: SolverOptions,
         return out
 
     us = update_us()
-    trajectory = [_leakage_orth(ch, us, vs)]
+    trajectory = [_cross_leakage(ch, us, vs)[0]]
     for _ in range(opts.max_iters):
         if trajectory[-1] == 0.0:
             break
         vs = update_vs()
         us = update_us()
-        trajectory.append(_leakage_orth(ch, us, vs))
+        trajectory.append(_cross_leakage(ch, us, vs)[0])
         level = max(trajectory[-1], opts.tol_align)
         if abs(trajectory[-2] - trajectory[-1]) < opts.tol_align / 10 * level:
             break

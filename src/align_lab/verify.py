@@ -72,9 +72,11 @@ def _orthonormalized(sol: IaSolution) -> tuple[list[np.ndarray], list[np.ndarray
     return us, vs
 
 
-def _cross_products(ch: ChannelSet, us: list[np.ndarray],
-                    vs: list[np.ndarray]) -> list[np.ndarray]:
-    return [us[j].conj().T @ ch.matrices[j][k] @ vs[k] for j, k in ch.cross_pairs()]
+def _cross_leakage(ch: ChannelSet, us: list[np.ndarray],
+                   vs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+    """Leakage of orthonormal (us, vs) and the cross products it sums."""
+    crosses = [us[j].conj().T @ ch.matrices[j][k] @ vs[k] for j, k in ch.cross_pairs()]
+    return float(sum(np.linalg.norm(c) ** 2 for c in crosses)), crosses
 
 
 def leakage(ch: ChannelSet, sol: IaSolution) -> float:
@@ -85,16 +87,14 @@ def leakage(ch: ChannelSet, sol: IaSolution) -> float:
     metric is then not about the intended subspace at all.
     """
     _check_dims(ch, sol)
-    us, vs = _orthonormalized(sol)
-    return float(sum(np.linalg.norm(c) ** 2 for c in _cross_products(ch, us, vs)))
+    return _cross_leakage(ch, *_orthonormalized(sol))[0]
 
 
 def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> VerificationResult:
     """Full verdict: leakage, worst cross entry, and per-user direct ranks."""
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
-    crosses = _cross_products(ch, us, vs)
-    leak = float(sum(np.linalg.norm(c) ** 2 for c in crosses))
+    leak, crosses = _cross_leakage(ch, us, vs)
     worst = float(max((np.abs(c).max() for c in crosses if c.size), default=0.0))
     ranks = tuple(numerical_rank(us[k].conj().T @ ch.matrices[k][k] @ vs[k])
                   for k in range(ch.K))

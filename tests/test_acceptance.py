@@ -16,6 +16,7 @@ from align_lab.cj3 import build_instance
 from align_lab.cli import main
 from align_lab.counting import (
     cj_parameters,
+    dim_channel_space,
     improper_by_threshold,
     is_proper,
     min_improper_n,
@@ -26,17 +27,13 @@ from align_lab.model import (
     config_to_json,
     diagonal_config,
     generic_config,
+    pair_support,
     sample_channels,
     substream,
     IaSolution,
 )
-from align_lab.probe import (
-    assemble_channels,
-    build_p_matrix,
-    draw_random_solution,
-    nullspace,
-    run_probe,
-)
+from align_lab.probe import assemble_channels, draw_random_solution, pair_block, run_probe
+from align_lab.subspaces import nullspace_basis
 from align_lab.solve import Classification, SolverOptions, classify
 from align_lab.verify import check, leakage, normalize_gauge
 
@@ -112,11 +109,17 @@ def test_criterion_5_probe_solutions_realign_and_generic_space_fills():
             n_s = int(picker.integers(2, 6))
             cfg = diagonal_config(3, n_s, 1, seed=seed)
         sol = draw_random_solution(cfg, substream(seed, 404, case))
-        basis = nullspace(build_p_matrix(cfg, sol))
-        for i in range(basis.shape[1]):
-            ch = assemble_channels(cfg, basis[:, i])
-            assert leakage(ch, sol) <= 1e-8, (case, i)
-            checked_vectors += 1
+        # P is block-diagonal by pair: zero-padded block nullspaces span its nullspace
+        offset = 0
+        for j, k in [(j, k) for j in range(cfg.K) for k in range(cfg.K) if j != k]:
+            rows, cols = pair_support(cfg, j, k)
+            basis = nullspace_basis(pair_block(sol.U[j], sol.V[k], rows, cols))
+            for i in range(basis.shape[1]):
+                h = np.zeros(dim_channel_space(cfg), dtype=complex)
+                h[offset:offset + rows.size] = basis[:, i]
+                assert leakage(assemble_channels(cfg, h), sol) <= 1e-8, (case, j, k, i)
+                checked_vectors += 1
+            offset += rows.size
     assert checked_vectors > 100  # the mix must actually exercise nullspaces
 
     filled = sum(run_probe(generic_config(3, 2, 1, seed=s), draws=4, seed=s).filled

@@ -17,6 +17,7 @@ import pytest
 import align_lab
 from align_lab.cli import main
 from align_lab.model import (
+    block_diagonal_config,
     config_to_json,
     diagonal_config,
     generic_config,
@@ -191,31 +192,37 @@ def evaluate_poly(line, values):
 
 
 def test_export_poly_evaluates_to_the_cross_terms(tmp_path):
-    cfg = generic_config(3, (3, 2, 2), 1, seed=8)
-    cfg_path = write_config(tmp_path, cfg)
-    out = tmp_path / "sys.txt"
-    assert main(["export-poly", "--config", cfg_path, "--out", str(out)]) == 0
-    body = [l for l in out.read_text().splitlines()
-            if l and not l.startswith("#")]
+    # d_k >= 2 puts several identity rows in the gauge, each of which may
+    # enter only its own equation
+    for cfg in (generic_config(3, (3, 2, 2), 1, seed=8),
+                generic_config(3, 4, (2, 1, 2), seed=8),
+                diagonal_config(3, 5, (2, 1, 1), seed=8),
+                block_diagonal_config(3, (2, 1, 2), 2, (2, 1, 1), seed=8)):
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "sys.txt"
+        assert main(["export-poly", "--config", cfg_path, "--out", str(out)]) == 0
+        body = [l for l in out.read_text().splitlines()
+                if l and not l.startswith("#")]
 
-    ch = sample_channels(cfg)
-    sol = normalize_gauge(minimize_leakage(ch, cfg.d, SolverOptions(max_iters=3),
-                                           rng=substream(8, 5))[0])
-    values = {}
-    for k, (v, u) in enumerate(zip(sol.V, sol.U)):
-        for r in range(v.shape[0]):
-            values[f"v_{k}_{r}_0"] = v[r, 0]
-            values[f"u_{k}_{r}_0"] = np.conj(u[r, 0])
+        ch = sample_channels(cfg)
+        sol = normalize_gauge(minimize_leakage(ch, cfg.d, SolverOptions(max_iters=3),
+                                               rng=substream(8, 5))[0])
+        values = {}
+        for k, (v, u) in enumerate(zip(sol.V, sol.U)):
+            for r in range(v.shape[0]):
+                for n in range(v.shape[1]):
+                    values[f"v_{k}_{r}_{n}"] = v[r, n]
+                    values[f"u_{k}_{r}_{n}"] = np.conj(u[r, n])
 
-    direct = []
-    for j in range(3):
-        for k in range(3):
-            if j != k:
-                direct.extend((sol.U[j].conj().T @ ch.matrices[j][k]
-                               @ sol.V[k]).reshape(-1))
-    assert len(body) == len(direct)
-    for line, expect in zip(body, direct):
-        assert abs(evaluate_poly(line, values) - expect) < 1e-12
+        direct = []
+        for j in range(3):
+            for k in range(3):
+                if j != k:
+                    direct.extend((sol.U[j].conj().T @ ch.matrices[j][k]
+                                   @ sol.V[k]).reshape(-1))
+        assert len(body) == len(direct)
+        for line, expect in zip(body, direct):
+            assert abs(evaluate_poly(line, values) - expect) < 1e-12, cfg
 
 
 def test_exit_code_for_malformed_config(tmp_path):

@@ -18,7 +18,6 @@ from align_lab.counting import (
     improper_by_threshold,
     is_proper,
     min_improper_n,
-    properness_record,
     sparse_dim_deficit,
     symmetric_bound,
     tdma_baseline,
@@ -167,15 +166,6 @@ def test_dim_channel_space(cfg, dim):
 ])
 def test_sparse_dim_deficit(cfg, deficit):
     assert sparse_dim_deficit(cfg) == deficit
-
-
-def test_properness_record_fields():
-    rec = properness_record(diagonal_config(3, 3, (2, 1, 1)))
-    assert rec["N_e"] == 10
-    assert rec["N_v"] == 2 * ((3 * 2 - 4) + 2 * (3 - 1))
-    assert rec["dim_H"] == 18
-    assert rec["deficit"] == -8
-    assert isinstance(rec["proper"], bool)
 
 
 def test_bound_sweep_rows_cover_the_grid():

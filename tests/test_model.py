@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from align_lab.counting import dim_channel_space
 from align_lab.errors import DimensionMismatch, InvalidSpec, StreamOverflow
 from align_lab.model import (
     ChannelSet,
@@ -17,11 +18,9 @@ from align_lab.model import (
     complex_normal,
     config_from_json,
     config_to_json,
-    conforms_to_structure,
     diagonal_config,
-    free_entry_count,
     generic_config,
-    iter_free_entries,
+    pair_support,
     sample_channels,
     solution_from_json,
     solution_to_json,
@@ -83,33 +82,33 @@ def test_n_s_property_requires_common_dimension():
         _ = generic_config(2, (2, 3), 1).n_s
 
 
+def free_entries(cfg):
+    """(j, k, row, col) of every free cross entry, in canonical order."""
+    return [(j, k, t, r) for j in range(cfg.K) for k in range(cfg.K) if j != k
+            for t, r in zip(*(a.tolist() for a in pair_support(cfg, j, k)))]
+
+
 @pytest.mark.parametrize("cfg,count", [
     (generic_config(3, 2, 1), 24),
     (diagonal_config(4, 5, 1), 60),
     (block_diagonal_config(2, (2, 3), 4, 1), 48),
 ])
 def test_free_entry_count_matches_enumeration(cfg, count):
-    entries = list(iter_free_entries(cfg))
+    entries = free_entries(cfg)
     assert len(entries) == count
-    assert free_entry_count(cfg) == count
+    assert dim_channel_space(cfg) == count
     assert entries == sorted(entries)
-    assert all(j != k for j, k, _, _ in entries)
-
-
-def test_free_entry_count_with_direct_links():
-    cfg = diagonal_config(3, 4, 1)
-    assert free_entry_count(cfg, include_direct=True) == 9 * 4
-    assert free_entry_count(cfg, include_direct=False) == 6 * 4
+    assert len(set(entries)) == count
 
 
 def test_diagonal_free_entries_stay_on_the_diagonal():
     cfg = diagonal_config(3, 4, 1)
-    assert all(t == r for _, _, t, r in iter_free_entries(cfg))
+    assert all(t == r for _, _, t, r in free_entries(cfg))
 
 
 def test_block_diagonal_free_entries_respect_blocks():
     cfg = block_diagonal_config(2, (2, 3), 2, 1)
-    for j, k, t, r in iter_free_entries(cfg):
+    for j, k, t, r in free_entries(cfg):
         m_rows, m_cols = (2, 3) if (j, k) == (0, 1) else (3, 2)
         assert t // m_rows == r // m_cols
 
@@ -153,9 +152,15 @@ def test_sample_channels_changes_with_seed():
 ])
 def test_sampled_channels_conform_to_their_structure(cfg):
     ch = sample_channels(cfg)
-    assert conforms_to_structure(ch, cfg)
     assert ch.K == cfg.K
     assert ch.N == cfg.N
+    for j in range(cfg.K):
+        for k in range(cfg.K):
+            h = ch.matrices[j][k]
+            outside = np.ones(h.shape, dtype=bool)
+            outside[pair_support(cfg, j, k)] = False
+            assert np.all(h[outside] == 0), (j, k)
+            assert np.all(h[~outside] != 0), (j, k)
 
 
 def test_sampled_channels_are_read_only():
@@ -171,13 +176,24 @@ def test_cross_pairs_excludes_direct_links():
     assert all(j != k for j, k in pairs)
 
 
-def test_conforms_rejects_dense_matrix_under_diagonal_structure():
-    cfg = diagonal_config(2, 3, 1)
-    ch = sample_channels(cfg)
-    mats = [[m.copy() for m in row] for row in ch.matrices]
-    mats[0][1][0, 2] = 1.0
-    dense = ChannelSet(matrices=tuple(tuple(r) for r in mats))
-    assert not conforms_to_structure(dense, cfg)
+def test_channel_set_copies_caller_arrays():
+    h = np.ones((2, 2), dtype=complex)
+    ch = ChannelSet(matrices=((h, h), (h, h)))
+    h[0, 0] = 5.0
+    assert all(np.array_equal(m, np.ones((2, 2))) for row in ch.matrices for m in row)
+    # a read-only view of a writeable base could still change: copied too
+    view = h[:, :]
+    view.flags.writeable = False
+    ch = ChannelSet(matrices=((view, view), (view, view)))
+    h[0, 0] = 7.0
+    assert ch.matrices[0][0][0, 0] == 5.0
+
+
+def test_channel_set_takes_over_read_only_arrays():
+    ch = sample_channels(generic_config(2, 2, 1))
+    again = ChannelSet(ch.matrices)
+    assert all(a is b for ra, rb in zip(ch.matrices, again.matrices)
+               for a, b in zip(ra, rb))
 
 
 def test_with_seed_replaces_only_the_seed():
@@ -226,5 +242,5 @@ def test_any_symmetric_diagonal_config_survives_json(k, n_s, seed):
 @given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 3))
 def test_free_entry_count_agrees_with_iteration(k, m, n_c):
     cfg = block_diagonal_config(k, m, n_c, 1)
-    assert free_entry_count(cfg) == sum(1 for _ in iter_free_entries(cfg))
-    assert free_entry_count(cfg) == k * (k - 1) * n_c * m * m
+    assert dim_channel_space(cfg) == len(free_entries(cfg))
+    assert dim_channel_space(cfg) == k * (k - 1) * n_c * m * m

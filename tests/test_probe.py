@@ -1,4 +1,4 @@
-"""Linearized channel probing: P-matrix assembly, nullspaces, span growth."""
+"""Linearized channel probing: P's per-pair blocks, nullspaces, span growth."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,18 @@ from align_lab.model import (
     block_diagonal_config,
     diagonal_config,
     generic_config,
-    iter_free_entries,
+    pair_support,
     sample_channels,
     substream,
 )
 from align_lab.probe import (
     assemble_channels,
-    build_p_matrix,
     draw_random_solution,
-    nullspace,
+    pair_block,
     report_to_json,
     run_probe,
 )
+from align_lab.subspaces import nullspace_basis
 from align_lab.verify import leakage
 
 ALL_STRUCTURES = [
@@ -31,57 +31,74 @@ ALL_STRUCTURES = [
 ]
 
 
+def cross_pairs(cfg):
+    return [(j, k) for j in range(cfg.K) for k in range(cfg.K) if j != k]
+
+
+def p_blocks(cfg, sol):
+    """P's diagonal blocks, one per ordered cross pair."""
+    return [pair_block(sol.U[j], sol.V[k], *pair_support(cfg, j, k))
+            for j, k in cross_pairs(cfg)]
+
+
 def channel_vector(ch, cfg):
-    """Free cross-channel entries in column order of the P matrix."""
-    return np.array([ch.matrices[j][k][t, r]
-                     for j, k, t, r in iter_free_entries(cfg)])
+    """Free cross-channel entries in column order of P."""
+    return np.concatenate([ch.matrices[j][k][pair_support(cfg, j, k)]
+                           for j, k in cross_pairs(cfg)])
+
+
+def padded_nullspace_vectors(cfg, sol):
+    """Each pair's nullspace vectors, zero-padded to the full free-entry vector."""
+    vectors, offset = [], 0
+    for block in p_blocks(cfg, sol):
+        basis = nullspace_basis(block)
+        padded = np.zeros((dim_channel_space(cfg), basis.shape[1]), dtype=complex)
+        padded[offset:offset + block.shape[1]] = basis
+        vectors.extend(padded.T)
+        offset += block.shape[1]
+    return vectors
 
 
 def test_p_matrix_shape_diagonal_example():
     cfg = diagonal_config(3, 2, 1)
     sol = draw_random_solution(cfg, substream(0, 1))
-    p = build_p_matrix(cfg, sol)
-    assert p.shape == (6, 12)
+    assert [b.shape for b in p_blocks(cfg, sol)] == [(1, 2)] * 6
 
 
 def test_all_ones_diagonal_case_forces_rank_six():
     cfg = diagonal_config(3, 2, 1)
     ones = np.ones((2, 1), dtype=complex)
     sol = IaSolution(V=(ones,) * 3, U=(ones,) * 3)
-    p = build_p_matrix(cfg, sol)
-    assert p.shape == (6, 12)
-    assert np.linalg.matrix_rank(p) == 6
-    assert nullspace(p).shape == (12, 6)
+    blocks = p_blocks(cfg, sol)
+    assert sum(np.linalg.matrix_rank(b) for b in blocks) == 6
+    assert sum(nullspace_basis(b).shape[1] for b in blocks) == 6
     # each equation touches exactly its own pair's two slots
-    assert all(np.count_nonzero(row) == 2 for row in p)
+    assert all(np.count_nonzero(row) == 2 for b in blocks for row in b)
 
 
 @pytest.mark.parametrize("cfg", ALL_STRUCTURES)
 def test_p_times_h_reproduces_cross_terms(cfg):
-    """P depends on (U,V) only; P @ h must equal the stacked cross terms."""
+    """Each block depends on (U,V) only; block @ h_jk is that pair's cross term."""
     ch = sample_channels(cfg)
     sol = draw_random_solution(cfg, substream(9, 2))
-    p = build_p_matrix(cfg, sol)
-    lhs = p @ channel_vector(ch, cfg)
-    rows = []
-    for j in range(cfg.K):
-        for k in range(cfg.K):
-            if j != k:
-                block = sol.U[j].conj().T @ ch.matrices[j][k] @ sol.V[k]
-                rows.extend(block.reshape(-1))
-    assert np.allclose(lhs, np.array(rows), atol=1e-12)
-    assert p.shape == (equation_count(cfg.d), dim_channel_space(cfg))
+    for j, k in cross_pairs(cfg):
+        rows, cols = pair_support(cfg, j, k)
+        lhs = pair_block(sol.U[j], sol.V[k], rows, cols) @ ch.matrices[j][k][rows, cols]
+        cross = sol.U[j].conj().T @ ch.matrices[j][k] @ sol.V[k]
+        assert np.allclose(lhs, cross.reshape(-1), atol=1e-12), (j, k)
+    blocks = p_blocks(cfg, sol)
+    assert sum(b.shape[0] for b in blocks) == equation_count(cfg.d)
+    assert sum(b.shape[1] for b in blocks) == dim_channel_space(cfg)
 
 
 @pytest.mark.parametrize("cfg", ALL_STRUCTURES)
 def test_nullspace_vectors_assemble_into_aligned_channels(cfg):
     rng = substream(3, 5)
     sol = draw_random_solution(cfg, rng)
-    basis = nullspace(build_p_matrix(cfg, sol))
-    assert basis.shape[0] == dim_channel_space(cfg)
-    for i in range(basis.shape[1]):
-        ch = assemble_channels(cfg, basis[:, i])
-        assert leakage(ch, sol) <= 1e-8
+    vectors = padded_nullspace_vectors(cfg, sol)
+    assert vectors
+    for h in vectors:
+        assert leakage(assemble_channels(cfg, h), sol) <= 1e-8
 
 
 def test_assemble_rejects_wrong_length():
@@ -148,8 +165,8 @@ def test_probe_is_deterministic():
 
 
 def test_span_accumulation_survives_compression():
-    # 6 null directions per draw against a cap of 4 x 8 columns: eight
-    # draws force several compression passes without changing the answer
+    # 3 null directions per pair and draw against a cap of 4 x 4 columns per
+    # pair: eight draws force compression passes without changing the answer
     cfg = generic_config(2, 2, 1, seed=2)
     rep = run_probe(cfg, draws=8, seed=2)
     assert rep.dim_target == 8
@@ -166,3 +183,19 @@ def test_report_serialization_fields():
     assert doc["sd_upper_bound"] == 23
     assert isinstance(doc["per_draw_nullity"], list)
     assert doc["filled"] == (doc["span_rank"] == doc["dim_target"])
+
+
+@pytest.mark.parametrize("cfg,draws,seed,expected", [
+    (block_diagonal_config(3, 2, 4, 2), 4, 3,
+     {"draws": 4, "nontrivial_draws": 4, "per_draw_nullity": [72, 72, 72, 72],
+      "span_rank": 96, "dim_target": 96, "sd_upper_bound": 95, "filled": True}),
+    (generic_config(4, 5, 2), 2, 1,
+     {"draws": 2, "nontrivial_draws": 2, "per_draw_nullity": [252, 252],
+      "span_rank": 300, "dim_target": 300, "sd_upper_bound": 299, "filled": True}),
+    (diagonal_config(3, 7, (4, 3, 3)), 4, 5,
+     {"draws": 4, "nontrivial_draws": 0, "per_draw_nullity": [0, 0, 0, 0],
+      "span_rank": 0, "dim_target": 42, "sd_upper_bound": 41, "filled": False}),
+])
+def test_probe_reports_are_pinned(cfg, draws, seed, expected):
+    """Reports recorded with the dense-P probe; the per-pair probe must match."""
+    assert report_to_json(run_probe(cfg, draws=draws, seed=seed)) == expected
