@@ -60,7 +60,16 @@ def _check_dims(ch: ChannelSet, sol: IaSolution) -> None:
                                 f"channel dimensions {ch.N}")
 
 
-def _orthonormalized(sol: IaSolution) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _stack(mats, rows: int, cols: int) -> np.ndarray:
+    """Zero-padded (len(mats), rows, cols) stack of per-user matrices."""
+    out = np.zeros((len(mats), rows, cols), dtype=complex)
+    for k, m in enumerate(mats):
+        out[k, :m.shape[0], :m.shape[1]] = m
+    return out
+
+
+def _orthonormalized(sol: IaSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded (K, N_max, d_max) stacks of orthonormal bases of U and V."""
     us, vs = [], []
     for k, (v, u) in enumerate(zip(sol.V, sol.U)):
         for name, mat, out in (("precoder", v, vs), ("decoder", u, us)):
@@ -69,14 +78,30 @@ def _orthonormalized(sol: IaSolution) -> tuple[list[np.ndarray], list[np.ndarray
                 raise RankDeficient(f"user {k} {name} has column rank {rank} "
                                     f"< {mat.shape[1]}")
             out.append(q)
-    return us, vs
+    n, w = max(sol.N), max(sol.d)
+    return _stack(us, n, w), _stack(vs, n, w)
 
 
-def _cross_leakage(ch: ChannelSet, us: list[np.ndarray],
-                   vs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-    """Leakage of orthonormal (us, vs) and the cross products it sums."""
-    crosses = [us[j].conj().T @ ch.matrices[j][k] @ vs[k] for j, k in ch.cross_pairs()]
-    return float(sum(np.linalg.norm(c) ** 2 for c in crosses)), crosses
+def _images(ch: ChannelSet, vs: np.ndarray) -> np.ndarray:
+    """(K, K, N_max, d_max) stack of H[j][k] V^[k] for j != k, zero for j == k."""
+    K, n, w = vs.shape
+    hv = np.zeros((K, K, n, w), dtype=complex)
+    for j, k in ch.cross_pairs():
+        h = ch.matrices[j][k]
+        hv[j, k, :h.shape[0]] = h @ vs[k, :h.shape[1]]
+    return hv
+
+
+def _cross_leakage(us: np.ndarray, hv: np.ndarray) -> tuple[float, np.ndarray]:
+    """Leakage of orthonormal decoders ``us`` against the images ``hv``.
+
+    ``us`` is a (K, N_max, d_max) stack zero outside each user's N_k x d_k
+    block, and ``hv`` a stack like ``_images`` returns. Also returns the
+    (K, K, d_max, d_max) stack of cross products (U^[j])^H H[j][k] V^[k],
+    zero-padded, and zero for j == k.
+    """
+    crosses = us.conj().swapaxes(-1, -2)[:, None] @ hv
+    return float(np.vdot(crosses, crosses).real), crosses
 
 
 def leakage(ch: ChannelSet, sol: IaSolution) -> float:
@@ -87,17 +112,18 @@ def leakage(ch: ChannelSet, sol: IaSolution) -> float:
     metric is then not about the intended subspace at all.
     """
     _check_dims(ch, sol)
-    return _cross_leakage(ch, *_orthonormalized(sol))[0]
+    us, vs = _orthonormalized(sol)
+    return _cross_leakage(us, _images(ch, vs))[0]
 
 
 def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> VerificationResult:
     """Full verdict: leakage, worst cross entry, and per-user direct ranks."""
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
-    leak, crosses = _cross_leakage(ch, us, vs)
-    worst = float(max((np.abs(c).max() for c in crosses if c.size), default=0.0))
-    ranks = tuple(numerical_rank(us[k].conj().T @ ch.matrices[k][k] @ vs[k])
-                  for k in range(ch.K))
+    leak, crosses = _cross_leakage(us, _images(ch, vs))
+    worst = float(np.abs(crosses).max())
+    ranks = tuple(numerical_rank(us[k, :n, :d].conj().T @ ch.matrices[k][k] @ vs[k, :n, :d])
+                  for k, (n, d) in enumerate(zip(sol.N, sol.d)))
     rank_ok = all(r == d for r, d in zip(ranks, sol.d))
     return VerificationResult(leakage=leak, min_cross_residual=worst,
                               direct_ranks=ranks, aligned=leak <= tol_align,

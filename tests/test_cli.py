@@ -130,7 +130,7 @@ def test_solve_json_and_csv(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader(csv_path.open()))
     assert len(rows) == 3
-    assert {"config", "trial", "restart", "iters",
+    assert {"config", "trial", "restart", "iters", "stop_reason",
             "final_leakage", "rank_ok"} <= set(rows[0])
     assert all(float(r["final_leakage"]) < 1e-8 for r in rows)
 
