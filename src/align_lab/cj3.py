@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, SingularChannel
-from .model import ChannelSet, IaSolution, diagonal_config, sample_channels
+from .model import (ChannelSet, IaSolution, StructureKind, diagonal_config,
+                    sample_channels)
 from .subspaces import orthonormal_columns
 
 __all__ = ["Cj3Instance", "construct", "build_instance", "exceeds_tdma"]
@@ -49,7 +50,12 @@ class Cj3Instance:
 
 
 def _diagonals(ch: ChannelSet) -> list[list[np.ndarray]]:
-    """Extract all nine diagonals, insisting the matrices really are diagonal."""
+    """All nine diagonals; channels stored in another layout must be diagonal.
+
+    A diagonal channel set hands over its free-entry vectors; any other is
+    read through its dense view and rejected if an off-diagonal entry is
+    nonzero.
+    """
     if ch.K != 3:
         raise DimensionMismatch(f"construction needs exactly 3 users, got K={ch.K}")
     if len(set(ch.N)) != 1:
@@ -59,11 +65,14 @@ def _diagonals(ch: ChannelSet) -> list[list[np.ndarray]]:
     for j in range(3):
         row = []
         for k in range(3):
-            h = ch.matrices[j][k]
-            d = np.diag(h).copy()
-            if np.any(h - np.diag(d) != 0):
-                raise DimensionMismatch(f"H[{j}][{k}] has off-diagonal entries; "
-                                        "the construction is for diagonal channels")
+            if ch.structure.kind is StructureKind.DIAGONAL:
+                d = ch.free[j][k]
+            else:
+                h = ch.matrices[j][k]
+                d = np.diag(h).copy()
+                if np.any(h - np.diag(d) != 0):
+                    raise DimensionMismatch(f"H[{j}][{k}] has off-diagonal entries; "
+                                            "the construction is for diagonal channels")
             if np.any(d == 0):
                 raise SingularChannel(f"H[{j}][{k}] has a zero diagonal entry; "
                                       "channel inverses are required")
@@ -143,7 +152,7 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
     us = []
     for k in range(3):
         others = [j for j in range(3) if j != k]
-        stack = np.hstack([ch.matrices[k][j] @ v[j] for j in others])
+        stack = np.hstack([ch.apply(k, j, v[j]) for j in others])
         # by construction the interference spans exactly n_s - d_k dimensions
         # (n at receiver 0, where two aligned blocks overlap; n+1 elsewhere);
         # slice the complement at that known rank instead of thresholding,

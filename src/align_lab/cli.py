@@ -27,7 +27,7 @@ from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficie
 from .model import (ChannelSet, SystemConfig, channels_from_json, channels_to_json,
                     config_from_json, config_to_json, diagonal_config,
                     pair_support, sample_channels, solution_from_json,
-                    solution_to_json, validate_config, with_seed)
+                    solution_to_json, with_seed)
 from .solve import SolverOptions, classify, run_record_row, verdict_to_json
 from .verify import TOL_ALIGN, check, result_to_json
 
@@ -213,12 +213,11 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
     u_j_t_m (the conjugated decoder entry U^[j][t, m], rows t >= d_j) and
     v_k_r_n (the precoder entry V^[k][r, n], rows r >= d_k), all indices
     0-based. Writing the equations in the conjugated decoder entries makes
-    the system plain bilinear polynomials in its unknowns.
+    the system plain bilinear polynomials in its unknowns. Channels are read
+    in ``cfg``'s layout, so a nonzero entry outside its structure raises
+    DimensionMismatch.
     """
-    validate_config(cfg)
-    if ch.K != cfg.K or ch.N != cfg.N:
-        raise DimensionMismatch(f"channels K={ch.K}, N={ch.N} do not match "
-                                f"config K={cfg.K}, N={cfg.N}")
+    ch = ch.in_layout(cfg)
     structure = cfg.structure.kind.value
     if cfg.structure.subcarriers is not None:
         structure += f"/{cfg.structure.subcarriers}"
@@ -233,7 +232,7 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
             if j == k:
                 continue
             rows, cols = pair_support(cfg, j, k)
-            coeffs = ch.matrices[j][k][rows, cols]
+            coeffs = ch.free[j][k]
             text = [_fmt_coeff(z) for z in coeffs.tolist()]
             u_free, v_free = rows >= cfg.d[j], cols >= cfg.d[k]
             for m in range(cfg.d[j]):
@@ -352,7 +351,8 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         override = spec.seed if args.command in ("verify", "export-poly") else None
         spec.config = _load_config(args.config, override)
     if getattr(args, "channels", None) is not None:
-        spec.channels = channels_from_json(_load_json(args.channels))
+        # stored in the config's layout; a nonzero confined entry is an error
+        spec.channels = channels_from_json(_load_json(args.channels)).in_layout(spec.config)
     if getattr(args, "solution", None) is not None:
         spec.solution_path = args.solution
     return spec

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -174,9 +174,11 @@ def validate_config(cfg: SystemConfig) -> None:
 # ---------------------------------------------------------------------------
 # free-entry layout
 
-def pair_support(cfg: SystemConfig, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def pair_support(cfg: SystemConfig | ChannelSet, j: int, k: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the free entries of H[j][k], in canonical order.
 
+    ``cfg`` is a config or a channel set; only its N, structure and M are read.
     Generic: all N_j x N_k entries, row-major. Diagonal: the N_s diagonal
     entries. Block-diagonal: the N_c blocks of M_j x M_k on the diagonal,
     block by block, row-major within a block. Stacking the cross pairs
@@ -191,6 +193,16 @@ def pair_support(cfg: SystemConfig, j: int, k: int) -> tuple[np.ndarray, np.ndar
     m_j, m_k = cfg.M[j], cfg.M[k]
     b, p, q = np.indices((cfg.structure.subcarriers, m_j, m_k)).reshape(3, -1)
     return b * m_j + p, b * m_k + q
+
+
+def _pair_size(cfg: SystemConfig | ChannelSet, j: int, k: int) -> int:
+    """Number of free entries of H[j][k]: the length of ``pair_support``'s arrays."""
+    kind = cfg.structure.kind
+    if kind is StructureKind.GENERIC:
+        return cfg.N[j] * cfg.N[k]
+    if kind is StructureKind.DIAGONAL:
+        return cfg.N[j]
+    return cfg.structure.subcarriers * cfg.M[j] * cfg.M[k]
 
 
 # ---------------------------------------------------------------------------
@@ -212,51 +224,169 @@ def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return (w[0] + 1j * w[1]) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelSet:
-    """All K*K channel matrices of one instance; immutable after construction.
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only complex array.
 
-    A read-only complex array that owns its data is taken over without a
+    A read-only complex ndarray that owns its data is taken over without a
     copy; its creator hands it over and must not make it writeable again.
-    Any other input is copied.
+    Anything else is copied.
+    """
+    if not (type(a) is np.ndarray and a.dtype == complex
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=complex)
+        a.flags.writeable = False
+    return a
+
+
+class _DenseRow(Sequence):
+    """Row j of ``ChannelSet.matrices``: H[j][k] is built when indexed."""
+
+    __slots__ = ("_ch", "_j")
+
+    def __init__(self, ch: ChannelSet, j: int) -> None:
+        self._ch, self._j = ch, j
+
+    def __len__(self) -> int:
+        return self._ch.K
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self._ch._dense(self._j, range(self._ch.K)[k])
+
+
+class ChannelSet:
+    """All K*K channels of one instance, stored as their free entries; immutable.
+
+    ``free[j][k]`` is the read-only 1-D vector of H[j][k]'s free entries in
+    ``pair_support(ch, j, k)`` order; the entries the structure confines to
+    zero are stored nowhere. ``N``, ``structure`` and ``M`` give the shape,
+    so a channel set serves as the shape argument of ``pair_support``.
+
+    ``ChannelSet(matrices)`` stores dense matrices as the generic structure,
+    every entry free; ``ChannelSet.from_free`` stores a structured set.
+    Inputs pass through ``_frozen``: read-only complex arrays that own their
+    data are taken over, anything else is copied.
     """
 
-    matrices: tuple[tuple[np.ndarray, ...], ...]
+    __slots__ = ("N", "structure", "M", "free")
 
-    def __post_init__(self) -> None:
-        rows = []
-        K = len(self.matrices)
+    def __init__(self, matrices: Sequence[Sequence[np.ndarray]]) -> None:
+        K = len(matrices)
         if K < 1:
             raise DimensionMismatch("a channel set needs at least one user")
-        dims_rx = [np.asarray(self.matrices[j][j]).shape[0] for j in range(K)]
-        for j in range(K):
-            if len(self.matrices[j]) != K:
-                raise DimensionMismatch(f"channel row {j} has {len(self.matrices[j])} "
-                                        f"entries for K={K}")
-            row = []
-            for k in range(K):
-                h = self.matrices[j][k]
-                if not (type(h) is np.ndarray and h.dtype == complex
-                        and h.flags.owndata and not h.flags.writeable):
-                    h = np.array(h, dtype=complex)
-                if h.ndim != 2 or h.shape != (dims_rx[j], dims_rx[k]):
-                    raise DimensionMismatch(
-                        f"H[{j}][{k}] has shape {h.shape}, expected "
-                        f"({dims_rx[j]}, {dims_rx[k]})")
-                if not np.all(np.isfinite(h.view(float))):
+        N = tuple(np.shape(matrices[j][j])[0] for j in range(K))
+        free = []
+        for j, row in enumerate(matrices):
+            if len(row) != K:
+                raise DimensionMismatch(f"channel row {j} has {len(row)} entries for K={K}")
+            vectors = []
+            for k, h in enumerate(row):
+                h = _frozen(h)
+                if h.shape != (N[j], N[k]):
+                    raise DimensionMismatch(f"H[{j}][{k}] has shape {h.shape}, "
+                                            f"expected ({N[j]}, {N[k]})")
+                vectors.append(h.reshape(-1))
+            free.append(vectors)
+        self._store(N, ChannelStructure(StructureKind.GENERIC), None, free)
+
+    @classmethod
+    def from_free(cls, shape: SystemConfig | ChannelSet,
+                  free: Sequence[Sequence[np.ndarray]]) -> ChannelSet:
+        """Channels of ``shape``'s N, structure and M from their free entries.
+
+        ``free[j][k]`` holds H[j][k]'s free entries in ``pair_support(shape,
+        j, k)`` order.
+        """
+        ch = object.__new__(cls)
+        ch._store(shape.N, shape.structure, shape.M,
+                  [[_frozen(v) for v in row] for row in free])
+        return ch
+
+    def _store(self, N, structure, M, free) -> None:
+        for name, value in (("N", tuple(N)), ("structure", structure), ("M", M)):
+            object.__setattr__(self, name, value)
+        if len(free) != self.K:
+            raise DimensionMismatch(f"{len(free)} channel rows for K={self.K}")
+        for j, row in enumerate(free):
+            if len(row) != self.K:
+                raise DimensionMismatch(f"channel row {j} has {len(row)} entries "
+                                        f"for K={self.K}")
+            for k, v in enumerate(row):
+                size = _pair_size(self, j, k)
+                if v.shape != (size,):
+                    raise DimensionMismatch(f"H[{j}][{k}] has free entries of shape "
+                                            f"{v.shape}, expected ({size},)")
+                if not np.isfinite(v).all():
                     raise DimensionMismatch(f"H[{j}][{k}] contains non-finite entries")
-                h.flags.writeable = False
-                row.append(h)
-            rows.append(tuple(row))
-        object.__setattr__(self, "matrices", tuple(rows))
+                v.flags.writeable = False
+        object.__setattr__(self, "free", tuple(tuple(row) for row in free))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ChannelSet is immutable; cannot set {name!r}")
 
     @property
     def K(self) -> int:
-        return len(self.matrices)
+        return len(self.N)
 
     @property
-    def N(self) -> tuple[int, ...]:
-        return tuple(self.matrices[j][j].shape[0] for j in range(self.K))
+    def matrices(self) -> tuple[Sequence[np.ndarray], ...]:
+        """Dense view: ``matrices[j][k]`` builds H[j][k], read-only and not cached."""
+        return tuple(_DenseRow(self, j) for j in range(self.K))
+
+    def _dense(self, j: int, k: int) -> np.ndarray:
+        v = self.free[j][k]
+        if self.structure.kind is StructureKind.GENERIC:
+            return v.reshape(self.N[j], self.N[k])
+        h = np.zeros((self.N[j], self.N[k]), dtype=complex)
+        h[pair_support(self, j, k)] = v
+        h.flags.writeable = False
+        return h
+
+    def apply(self, j: int, k: int, x: np.ndarray) -> np.ndarray:
+        """H[j][k] @ x for an N_k x c array ``x``, from the free entries alone.
+
+        Generic: one matmul. Diagonal: an elementwise product. Block-diagonal:
+        one batched matmul over the N_c subcarrier blocks.
+        """
+        v = self.free[j][k]
+        kind = self.structure.kind
+        if kind is StructureKind.GENERIC:
+            return v.reshape(self.N[j], self.N[k]) @ x
+        if kind is StructureKind.DIAGONAL:
+            return v[:, None] * x
+        n_c, c = self.structure.subcarriers, x.shape[1]
+        blocks = v.reshape(n_c, self.M[j], self.M[k]) @ x.reshape(n_c, self.M[k], c)
+        return blocks.reshape(self.N[j], c)
+
+    def in_layout(self, cfg: SystemConfig) -> ChannelSet:
+        """These channels stored in ``cfg``'s layout.
+
+        Raises DimensionMismatch, naming the pair and the entry, when an
+        entry that ``cfg``'s structure confines to zero is nonzero, and when
+        K or N differ from ``cfg``'s.
+        """
+        validate_config(cfg)
+        if (self.N, self.structure, self.M) == (cfg.N, cfg.structure, cfg.M):
+            return self
+        if self.N != cfg.N:
+            raise DimensionMismatch(f"channels K={self.K}, N={self.N} do not match "
+                                    f"config K={cfg.K}, N={cfg.N}")
+        free = []
+        for j in range(cfg.K):
+            row = []
+            for k in range(cfg.K):
+                h = self._dense(j, k)
+                support = pair_support(cfg, j, k)
+                outside = h.copy()
+                outside[support] = 0.0
+                bad = np.flatnonzero(outside)
+                if bad.size:
+                    r, c = divmod(int(bad[0]), cfg.N[k])
+                    raise DimensionMismatch(
+                        f"H[{j}][{k}] has entry ({r}, {c}) = {complex(h[r, c])} "
+                        f"outside the {cfg.structure.kind.value} structure")
+                row.append(h[support])
+            free.append(row)
+        return ChannelSet.from_free(cfg, free)
 
     def cross_pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered pairs (j, k), j != k, in lexicographic order."""
@@ -270,21 +400,20 @@ def sample_channels(cfg: SystemConfig) -> ChannelSet:
     """Draw a full channel set for ``cfg``.
 
     Every free entry is an independent CN(0, 1) draw from the (seed, j, k)
-    substream; confined entries are exactly zero. The same config (seed
-    included) always yields a bit-identical channel set.
+    substream, written straight into the pair's free-entry vector; confined
+    entries are exactly zero. The same config (seed included) always yields
+    a bit-identical channel set.
     """
     validate_config(cfg)
-    mats = []
+    free = []
     for j in range(cfg.K):
         row = []
         for k in range(cfg.K):
-            rows, cols = pair_support(cfg, j, k)
-            h = np.zeros((cfg.N[j], cfg.N[k]), dtype=complex)
-            h[rows, cols] = complex_normal(substream(cfg.seed, j, k), rows.size)
-            h.flags.writeable = False
-            row.append(h)
-        mats.append(tuple(row))
-    return ChannelSet(tuple(mats))
+            v = complex_normal(substream(cfg.seed, j, k), _pair_size(cfg, j, k))
+            v.flags.writeable = False
+            row.append(v)
+        free.append(row)
+    return ChannelSet.from_free(cfg, free)
 
 
 @dataclass(frozen=True, eq=False)

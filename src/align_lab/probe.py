@@ -19,7 +19,7 @@ import numpy as np
 
 from .counting import dim_channel_space
 from .errors import DimensionMismatch
-from .model import (ChannelSet, IaSolution, SystemConfig, complex_normal,
+from .model import (ChannelSet, IaSolution, SystemConfig, _pair_size, complex_normal,
                     pair_support, substream, validate_config)
 from .subspaces import nullspace_basis, numerical_rank, orthonormal_columns
 
@@ -118,7 +118,7 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
 
 
 def assemble_channels(cfg: SystemConfig, h: np.ndarray) -> ChannelSet:
-    """Spread a free-entry vector back into a structured channel set.
+    """Split a free-entry vector into a structured channel set.
 
     Inverse of the canonical flattening: the cross pairs' free entries, in
     ``pair_support`` order, follow one another in lexicographic pair order.
@@ -131,16 +131,18 @@ def assemble_channels(cfg: SystemConfig, h: np.ndarray) -> ChannelSet:
     if h.shape[0] != expected:
         raise DimensionMismatch(f"free-entry vector has length {h.shape[0]}, "
                                 f"structure has {expected} free cross entries")
-    mats = [[np.zeros((cfg.N[j], cfg.N[k]), dtype=complex) for k in range(cfg.K)]
-            for j in range(cfg.K)]
-    offset = 0
-    for j, k, rows, cols in _cross_supports(cfg):
-        mats[j][k][rows, cols] = h[offset:offset + rows.size]
-        offset += rows.size
-    for row in mats:
-        for m in row:
-            m.flags.writeable = False
-    return ChannelSet(tuple(tuple(row) for row in mats))
+    free, offset = [], 0
+    for j in range(cfg.K):
+        row = []
+        for k in range(cfg.K):
+            size = _pair_size(cfg, j, k)
+            if j == k:
+                row.append(np.zeros(size, dtype=complex))
+            else:
+                row.append(h[offset:offset + size])
+                offset += size
+        free.append(row)
+    return ChannelSet.from_free(cfg, free)
 
 
 def report_to_json(report: ProbeReport) -> dict:

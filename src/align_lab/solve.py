@@ -26,8 +26,8 @@ import numpy as np
 from . import cj3
 from .errors import DegenerateSpan, DimensionMismatch, RankDeficient, SingularChannel
 from .model import (ChannelSet, IaSolution, StructureKind, SystemConfig,
-                    complex_normal, config_to_json, sample_channels, substream,
-                    with_seed)
+                    complex_normal, config_to_json, pair_support, sample_channels,
+                    substream, with_seed)
 from .verify import _cross_leakage, _stack, check
 
 __all__ = [
@@ -132,10 +132,11 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
 
 
 def _cross_stack(ch: ChannelSet) -> np.ndarray:
-    """Zero-padded (K, K, N_max, N_max) stack of the channels, direct pairs zeroed."""
+    """Zero-padded (K, K, N_max, N_max) stack of the cross channels, direct pairs zero."""
     n = max(ch.N)
-    h = _stack([m for row in ch.matrices for m in row], n, n).reshape(ch.K, ch.K, n, n)
-    h[np.arange(ch.K), np.arange(ch.K)] = 0.0
+    h = np.zeros((ch.K, ch.K, n, n), dtype=complex)
+    for j, k in ch.cross_pairs():
+        h[j, k][pair_support(ch, j, k)] = ch.free[j][k]
     return h
 
 

@@ -87,8 +87,7 @@ def _images(ch: ChannelSet, vs: np.ndarray) -> np.ndarray:
     K, n, w = vs.shape
     hv = np.zeros((K, K, n, w), dtype=complex)
     for j, k in ch.cross_pairs():
-        h = ch.matrices[j][k]
-        hv[j, k, :h.shape[0]] = h @ vs[k, :h.shape[1]]
+        hv[j, k, :ch.N[j]] = ch.apply(j, k, vs[k, :ch.N[k]])
     return hv
 
 
@@ -122,7 +121,7 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     us, vs = _orthonormalized(sol)
     leak, crosses = _cross_leakage(us, _images(ch, vs))
     worst = float(np.abs(crosses).max())
-    ranks = tuple(numerical_rank(us[k, :n, :d].conj().T @ ch.matrices[k][k] @ vs[k, :n, :d])
+    ranks = tuple(numerical_rank(us[k, :n, :d].conj().T @ ch.apply(k, k, vs[k, :n, :d]))
                   for k, (n, d) in enumerate(zip(sol.N, sol.d)))
     rank_ok = all(r == d for r, d in zip(ranks, sol.d))
     return VerificationResult(leakage=leak, min_cross_residual=worst,

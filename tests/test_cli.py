@@ -151,6 +151,34 @@ def test_verify_accepts_stored_witness(tmp_path):
     assert doc["result"]["rank_ok"] is True
 
 
+def write_witness_with_stray_entry(tmp_path):
+    """A cj3 witness whose H[0][1] gains a nonzero off-diagonal entry (1, 2)."""
+    witness = run_json(tmp_path, ["cj3", "--n", "1", "--seed", "3"], out="w.json")
+    paths = {}
+    for name in ("config", "channels", "solution"):
+        paths[name] = tmp_path / f"w{name}.json"
+        paths[name].write_text(json.dumps(witness[name]))
+    channels = witness["channels"]
+    channels[0][1][1][2] = [5.0, 0.0]
+    paths["stray"] = tmp_path / "wstray.json"
+    paths["stray"].write_text(json.dumps(channels))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["verify", "export-poly"])
+def test_off_support_channel_entry_is_rejected(tmp_path, capsys, command):
+    paths = write_witness_with_stray_entry(tmp_path)
+    args = [command, "--config", str(paths["config"])]
+    if command == "verify":
+        args += ["--solution", str(paths["solution"])]
+    out = tmp_path / "o.txt"
+    assert main(args + ["--channels", str(paths["channels"]), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args + ["--channels", str(paths["stray"]), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "H[0][1] has entry (1, 2) = (5+0j) outside the diagonal structure" in err
+
+
 def test_verify_reports_misalignment_without_failing(tmp_path):
     cfg = generic_config(2, 2, 1, seed=6)
     cfg_path = write_config(tmp_path, cfg)

@@ -190,10 +190,101 @@ def test_channel_set_copies_caller_arrays():
 
 
 def test_channel_set_takes_over_read_only_arrays():
-    ch = sample_channels(generic_config(2, 2, 1))
-    again = ChannelSet(ch.matrices)
-    assert all(a is b for ra, rb in zip(ch.matrices, again.matrices)
+    # the free-entry vectors sample_channels hands over are stored as they are
+    ch = sample_channels(diagonal_config(3, 4, 1))
+    again = ChannelSet.from_free(ch, ch.free)
+    assert all(a is b for ra, rb in zip(ch.free, again.free) for a, b in zip(ra, rb))
+    # a read-only dense matrix that owns its data is stored without a copy
+    h = np.ones((2, 2), dtype=complex)
+    h.flags.writeable = False
+    dense = ChannelSet(((h, h), (h, h)))
+    assert all(np.shares_memory(v, h) for row in dense.free for v in row)
+
+
+def dense_sampler(cfg):
+    """The dense sampler free-entry storage replaced: zeros plus a scatter."""
+    mats = []
+    for j in range(cfg.K):
+        row = []
+        for k in range(cfg.K):
+            rows, cols = pair_support(cfg, j, k)
+            h = np.zeros((cfg.N[j], cfg.N[k]), dtype=complex)
+            h[rows, cols] = complex_normal(substream(cfg.seed, j, k), rows.size)
+            row.append(h)
+        mats.append(row)
+    return mats
+
+
+SHAPES = [
+    generic_config(3, 3, 1),
+    generic_config(3, (2, 3, 4), (1, 1, 2)),
+    diagonal_config(4, 7, 1),
+    block_diagonal_config(3, (1, 2, 3), 3, 1),
+]
+
+
+@pytest.mark.parametrize("cfg", SHAPES)
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 40 + 7, 2 ** 64 - 1])
+def test_sampled_channels_match_the_dense_sampler(cfg, seed):
+    cfg = with_seed(cfg, seed)
+    ch = sample_channels(cfg)
+    assert ch.structure == cfg.structure and ch.M == cfg.M
+    for j, row in enumerate(dense_sampler(cfg)):
+        for k, h in enumerate(row):
+            assert np.array_equal(ch.matrices[j][k], h), (j, k)
+            assert ch.free[j][k].shape == (pair_support(cfg, j, k)[0].size,)
+
+
+@pytest.mark.parametrize("cfg", SHAPES)
+def test_apply_matches_the_dense_product(cfg):
+    ch = sample_channels(with_seed(cfg, 5))
+    rng = substream(5, 1)
+    for j in range(cfg.K):
+        for k in range(cfg.K):
+            h = ch.matrices[j][k]
+            assert not h.flags.writeable
+            with pytest.raises(ValueError):
+                h[0, 0] = 1.0
+            for cols in (1, 3):
+                x = complex_normal(rng, cfg.N[k], cols)
+                got, want = ch.apply(j, k, x), h @ x
+                assert got.shape == (cfg.N[j], cols)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (j, k)
+
+
+def test_dense_view_is_built_on_access():
+    ch = sample_channels(diagonal_config(3, 5, 1))
+    assert ch.matrices[0][1] is not ch.matrices[0][1]
+    assert [len(row) for row in ch.matrices] == [3, 3, 3]
+    assert np.array_equal(ch.matrices[2][-1], ch.matrices[2][2])
+    with pytest.raises(IndexError):
+        ch.matrices[0][3]
+    # nothing dense is kept: the set holds K*K vectors of N_s entries
+    assert sum(v.nbytes for row in ch.free for v in row) == 9 * 5 * 16
+    with pytest.raises(AttributeError):
+        ch.free = ()
+
+
+@pytest.mark.parametrize("cfg", SHAPES[1:])
+def test_in_layout_round_trips_through_dense_storage(cfg):
+    ch = sample_channels(with_seed(cfg, 3))
+    dense = ChannelSet(ch.matrices)
+    assert dense.structure.kind is StructureKind.GENERIC
+    back = dense.in_layout(cfg)
+    assert back.structure == cfg.structure and back.M == cfg.M
+    assert all(np.array_equal(a, b) for ra, rb in zip(ch.free, back.free)
                for a, b in zip(ra, rb))
+    assert ch.in_layout(cfg) is ch
+
+
+def test_in_layout_names_a_nonzero_confined_entry():
+    cfg = block_diagonal_config(2, (1, 2), 2, 1, seed=1)
+    mats = [[h.copy() for h in row] for row in sample_channels(cfg).matrices]
+    mats[1][0][0, 1] = 0.5 - 2j
+    with pytest.raises(DimensionMismatch, match=r"H\[1\]\[0\] has entry \(0, 1\)"):
+        ChannelSet(mats).in_layout(cfg)
+    with pytest.raises(DimensionMismatch, match="do not match"):
+        ChannelSet(mats).in_layout(generic_config(3, 4, 1))
 
 
 def test_with_seed_replaces_only_the_seed():

@@ -11,6 +11,7 @@ from align_lab.model import (
     ChannelSet,
     IaSolution,
     complex_normal,
+    diagonal_config,
     generic_config,
     sample_channels,
     substream,
@@ -151,3 +152,14 @@ def test_misalignment_threshold_over_random_seeds(seed):
     cfg = generic_config(3, 2, 1, seed=seed)
     ch = sample_channels(cfg)
     assert leakage(ch, random_solution(cfg, seed=seed)) > 1e-3
+
+
+def test_paper_scale_diagonal_channels_are_checked():
+    # K=4, n=5 of the extension series: N_s=10901, the first improper K=4
+    # configuration; dense storage would need about 30 GB
+    cfg = diagonal_config(4, 10901, 1, seed=2)
+    ch = sample_channels(cfg)
+    assert sum(v.size for row in ch.free for v in row) == 16 * 10901
+    res = check(ch, random_solution(cfg))
+    assert np.isfinite(res.leakage) and res.leakage > 0
+    assert res.direct_ranks == (1, 1, 1, 1)
