@@ -18,7 +18,7 @@ from .model import (ChannelSet, ChannelStructure, IaSolution, StructureKind,
 from .probe import ProbeReport, assemble_channels, run_probe
 from .solve import (Classification, FeasibilityVerdict, SolverOptions, classify,
                     minimize_leakage)
-from .verify import VerificationResult, check, leakage, normalize_gauge
+from .verify import VerificationResult, check, normalize_gauge
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "VerificationResult", "assemble_channels", "block_diagonal_config",
     "build_instance", "check", "cj_parameters", "classify",
     "construct", "diagonal_config", "equation_count", "exceeds_tdma",
-    "generic_config", "improper_by_threshold", "is_proper", "leakage",
+    "generic_config", "improper_by_threshold", "is_proper",
     "min_improper_n", "minimize_leakage", "normalize_gauge", "run_probe",
     "sample_channels", "symmetric_bound", "tdma_baseline", "validate_config",
     "variable_count", "__version__",

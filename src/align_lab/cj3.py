@@ -49,36 +49,23 @@ class Cj3Instance:
                                     f"(n+1, n, n) for n={self.n}")
 
 
-def _diagonals(ch: ChannelSet) -> list[list[np.ndarray]]:
-    """All nine diagonals; channels stored in another layout must be diagonal.
+def _diagonals(ch: ChannelSet) -> tuple[tuple[np.ndarray, ...], ...]:
+    """All nine diagonals, from a diagonal-layout set of three users.
 
-    A diagonal channel set hands over its free-entry vectors; any other is
-    read through its dense view and rejected if an off-diagonal entry is
-    nonzero.
+    A dense set with diagonal values is moved into the diagonal layout first,
+    with ``ch.in_layout``.
     """
     if ch.K != 3:
         raise DimensionMismatch(f"construction needs exactly 3 users, got K={ch.K}")
-    if len(set(ch.N)) != 1:
-        raise DimensionMismatch(f"construction needs a common signal dimension, "
-                                f"got N={ch.N}")
-    diags = []
-    for j in range(3):
-        row = []
-        for k in range(3):
-            if ch.structure.kind is StructureKind.DIAGONAL:
-                d = ch.free[j][k]
-            else:
-                h = ch.matrices[j][k]
-                d = np.diag(h).copy()
-                if np.any(h - np.diag(d) != 0):
-                    raise DimensionMismatch(f"H[{j}][{k}] has off-diagonal entries; "
-                                            "the construction is for diagonal channels")
+    if ch.structure.kind is not StructureKind.DIAGONAL:
+        raise DimensionMismatch(f"construction needs diagonal channels, got the "
+                                f"{ch.structure.kind.value} layout")
+    for j, row in enumerate(ch.free):
+        for k, d in enumerate(row):
             if np.any(d == 0):
                 raise SingularChannel(f"H[{j}][{k}] has a zero diagonal entry; "
                                       "channel inverses are required")
-            row.append(d)
-        diags.append(row)
-    return diags
+    return ch.free
 
 
 def _krylov_basis(t: np.ndarray, dim: int) -> np.ndarray:
@@ -152,7 +139,7 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
     us = []
     for k in range(3):
         others = [j for j in range(3) if j != k]
-        stack = np.hstack([ch.apply(k, j, v[j]) for j in others])
+        stack = np.hstack([h[k][j][:, None] * v[j] for j in others])
         # by construction the interference spans exactly n_s - d_k dimensions
         # (n at receiver 0, where two aligned blocks overlap; n+1 elsewhere);
         # slice the complement at that known rank instead of thresholding,

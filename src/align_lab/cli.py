@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,28 +30,7 @@ from .model import (ChannelSet, SystemConfig, channels_from_json, channels_to_js
 from .solve import SolverOptions, classify, run_record_row, verdict_to_json
 from .verify import TOL_ALIGN, check, result_to_json
 
-__all__ = ["ExperimentSpec", "main", "polynomial_system_text"]
-
-
-@dataclass
-class ExperimentSpec:
-    """One fully parsed and validated CLI invocation."""
-
-    command: str
-    out: Path | None = None
-    fmt: str = "json"
-    config: SystemConfig | None = None
-    channels: ChannelSet | None = None
-    solution_path: Path | None = None
-    sweep: dict[str, list[int]] = field(default_factory=dict)
-    seed: int | None = None
-    n: int = 1
-    n_max: int = 100
-    draws: int = 50
-    trials: int = 20
-    restarts: int = 1
-    max_iters: int = 1000
-    tol: float = TOL_ALIGN
+__all__ = ["main", "polynomial_system_text"]
 
 
 def parse_range(text: str) -> list[int]:
@@ -80,26 +58,37 @@ def _load_config(path: Path, seed: int | None) -> SystemConfig:
     return with_seed(cfg, seed) if seed is not None else cfg
 
 
+def _load_channels(args: argparse.Namespace, cfg: SystemConfig) -> ChannelSet:
+    """Channels from --channels, stored in ``cfg``'s layout, or sampled from ``cfg``."""
+    if args.channels is None:
+        return sample_channels(cfg)
+    # a nonzero entry that cfg's structure confines to zero is an error
+    return channels_from_json(_load_json(args.channels)).in_layout(cfg)
+
+
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (json payload, csv rows, raw text)
+# subcommand bodies: each reads the parsed arguments and returns
+# (json payload, csv rows, raw text)
 
 def _frac(x: Fraction) -> tuple[str, float]:
     return str(x), float(x)
 
 
-def cmd_bounds(spec: ExperimentSpec):
+def cmd_bounds(args: argparse.Namespace):
     rows = []
-    for raw in bound_sweep_rows(spec.sweep["K"], spec.sweep["n"], spec.sweep["M"]):
+    for raw in bound_sweep_rows(parse_range(args.K), parse_range(args.n),
+                                parse_range(args.M)):
         exact, value = _frac(raw["value"])
         rows.append({"K": raw["K"], "param": raw["param"], "exact": exact,
                      "value": value, "source": raw["source"]})
     return {"rows": rows}, rows, None
 
 
-def cmd_cj_params(spec: ExperimentSpec):
+def cmd_cj_params(args: argparse.Namespace):
     payload_rows, csv_rows = [], []
-    for K in spec.sweep["K"]:
-        for n in spec.sweep["n"]:
+    Ks, ns = parse_range(args.K), parse_range(args.n)
+    for K in Ks:
+        for n in ns:
             p = cj_parameters(K, n)
             exact, value = _frac(p.d_bar)
             payload_rows.append({"K": p.K, "n": p.n, "N_exp": p.N_exp, "N_s": p.N_s,
@@ -112,12 +101,13 @@ def cmd_cj_params(spec: ExperimentSpec):
     return {"rows": payload_rows}, csv_rows, None
 
 
-def cmd_contradiction(spec: ExperimentSpec):
-    if any(k < 3 or k > 12 for k in spec.sweep["K"]):
-        raise InvalidSpec(f"user counts must lie in [3, 12], got {spec.sweep['K']}")
+def cmd_contradiction(args: argparse.Namespace):
+    Ks = parse_range(args.K)
+    if any(k < 3 or k > 12 for k in Ks):
+        raise InvalidSpec(f"user counts must lie in [3, 12], got {Ks}")
     rows = []
-    for K in spec.sweep["K"]:
-        found = min_improper_n(K, spec.n_max)
+    for K in Ks:
+        found = min_improper_n(K, args.n_max)
         row = {"K": K, "min_improper_n": found, "N_s": None, "d_first": None,
                "d_other": None, "N_e": None, "N_v": None,
                "improper_by_threshold": None}
@@ -129,17 +119,16 @@ def cmd_contradiction(spec: ExperimentSpec):
                         "N_e": report.N_e, "N_v": report.N_v,
                         "improper_by_threshold": improper_by_threshold(K, found)})
         rows.append(row)
-    return {"n_max": spec.n_max, "rows": rows}, rows, None
+    return {"n_max": args.n_max, "rows": rows}, rows, None
 
 
-def cmd_cj3(spec: ExperimentSpec):
-    seed = spec.seed if spec.seed is not None else 0
-    inst = cj3_mod.build_instance(spec.n, seed=seed)
-    res = check(inst.channels, inst.solution, tol_align=spec.tol)
+def cmd_cj3(args: argparse.Namespace):
+    inst = cj3_mod.build_instance(args.n, seed=args.seed)
+    res = check(inst.channels, inst.solution, tol_align=args.tol)
     exact, value = _frac(Fraction(3 * inst.n + 1, 3 * inst.N_s))
-    cfg = diagonal_config(3, inst.N_s, (inst.n + 1, inst.n, inst.n), seed=seed)
+    cfg = diagonal_config(3, inst.N_s, (inst.n + 1, inst.n, inst.n), seed=args.seed)
     payload = {
-        "n": inst.n, "N_s": inst.N_s, "seed": seed,
+        "n": inst.n, "N_s": inst.N_s, "seed": args.seed,
         "d": [inst.n + 1, inst.n, inst.n],
         "d_bar": exact, "d_bar_value": value,
         "exceeds_tdma": cj3_mod.exceeds_tdma(inst),
@@ -148,7 +137,7 @@ def cmd_cj3(spec: ExperimentSpec):
         "channels": channels_to_json(inst.channels),
         "solution": solution_to_json(inst.solution),
     }
-    row = {"n": inst.n, "N_s": inst.N_s, "seed": seed,
+    row = {"n": inst.n, "N_s": inst.N_s, "seed": args.seed,
            "leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
            "direct_ranks": ";".join(str(r) for r in res.direct_ranks),
            "aligned": res.aligned, "rank_ok": res.rank_ok,
@@ -157,44 +146,46 @@ def cmd_cj3(spec: ExperimentSpec):
     return payload, [row], None
 
 
-def cmd_probe(spec: ExperimentSpec):
+def cmd_probe(args: argparse.Namespace):
     from .probe import report_to_json, run_probe
-    seed = spec.seed if spec.seed is not None else 0
-    report = run_probe(spec.config, spec.draws, seed=seed)
-    payload = {"config": config_to_json(spec.config), "draws_seed": seed,
+    # --seed steers the draws, not the channels: the config keeps its seed
+    cfg = _load_config(args.config, None)
+    report = run_probe(cfg, args.draws, seed=args.seed)
+    payload = {"config": config_to_json(cfg), "draws_seed": args.seed,
                **report_to_json(report)}
     rows = [{"draw": i, "nullity": x}
             for i, x in enumerate(report.per_draw_nullity)]
     return payload, rows, None
 
 
-def cmd_solve(spec: ExperimentSpec):
-    opts = SolverOptions(max_iters=spec.max_iters, tol_align=spec.tol,
-                         restarts=spec.restarts, trials=spec.trials,
-                         seed=spec.seed if spec.seed is not None else 0)
-    verdict = classify(spec.config, opts)
-    payload = verdict_to_json(spec.config, verdict)
+def cmd_solve(args: argparse.Namespace):
+    cfg = _load_config(args.config, None)
+    opts = SolverOptions(max_iters=args.max_iters, tol_align=args.tol,
+                         restarts=args.restarts, trials=args.trials, seed=args.seed)
+    verdict = classify(cfg, opts)
+    payload = verdict_to_json(cfg, verdict)
     payload["options"] = {"trials": opts.trials, "restarts": opts.restarts,
                           "max_iters": opts.max_iters, "tol_align": opts.tol_align,
                           "seed": opts.seed}
-    rows = [run_record_row(spec.config, r) for r in verdict.records]
+    rows = [run_record_row(cfg, r) for r in verdict.records]
     return payload, rows, None
 
 
-def cmd_verify(spec: ExperimentSpec):
-    sol = solution_from_json(_load_json(spec.solution_path))
-    ch = spec.channels if spec.channels is not None else sample_channels(spec.config)
-    res = check(ch, sol, tol_align=spec.tol)
-    payload = {"config": config_to_json(spec.config), "result": result_to_json(res)}
+def cmd_verify(args: argparse.Namespace):
+    cfg = _load_config(args.config, args.seed)
+    ch = _load_channels(args, cfg)
+    sol = solution_from_json(_load_json(args.solution))
+    res = check(ch, sol, tol_align=args.tol)
+    payload = {"config": config_to_json(cfg), "result": result_to_json(res)}
     row = {"leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
            "direct_ranks": ";".join(str(r) for r in res.direct_ranks),
            "aligned": res.aligned, "rank_ok": res.rank_ok}
     return payload, [row], None
 
 
-def cmd_export_poly(spec: ExperimentSpec):
-    ch = spec.channels if spec.channels is not None else sample_channels(spec.config)
-    return None, None, polynomial_system_text(spec.config, ch)
+def cmd_export_poly(args: argparse.Namespace):
+    cfg = _load_config(args.config, args.seed)
+    return None, None, polynomial_system_text(cfg, _load_channels(args, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -254,57 +245,47 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
 # ---------------------------------------------------------------------------
 # wiring
 
-_COMMANDS = {
-    "bounds": cmd_bounds,
-    "cj-params": cmd_cj_params,
-    "contradiction": cmd_contradiction,
-    "cj3": cmd_cj3,
-    "probe": cmd_probe,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "export-poly": cmd_export_poly,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="align-lab",
         description="Numerical laboratory for interference-alignment feasibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_help="seed override"):
+    def common(sp, run, seed_help="seed override", seed=None):
         sp.add_argument("--out", type=Path, help="output file (default stdout)")
         sp.add_argument("--format", choices=["json", "csv"], default="json",
                         dest="fmt", help="output format")
-        sp.add_argument("--seed", type=int, default=None, help=seed_help)
+        sp.add_argument("--seed", type=int, default=seed, help=seed_help)
+        sp.set_defaults(run=run)
 
     sp = sub.add_parser("bounds", help="bound-comparison table over K, n, M sweeps")
     sp.add_argument("--K", default="3:6", help="user-count range LO:HI")
     sp.add_argument("--n", default="1:5", help="series-index range LO:HI")
     sp.add_argument("--M", default="1:4", help="antenna-count range LO:HI")
-    common(sp)
+    common(sp, cmd_bounds)
 
     sp = sub.add_parser("cj-params", help="extension-series parameters, exact")
     sp.add_argument("--K", required=True, help="user count or range LO:HI")
     sp.add_argument("--n", default="1:10", help="series-index range LO:HI")
-    common(sp)
+    common(sp, cmd_cj_params)
 
     sp = sub.add_parser("contradiction",
                         help="first series index where properness fails, per K")
     sp.add_argument("--K", default="3:6", help="user-count range within [3,12]")
     sp.add_argument("--n-max", type=int, default=100, dest="n_max",
                     help="sweep ceiling")
-    common(sp)
+    common(sp, cmd_contradiction)
 
     sp = sub.add_parser("cj3", help="explicit K=3 witness on fresh diagonal channels")
     sp.add_argument("--n", type=int, default=3, help="extension index (N_s=2n+1)")
     sp.add_argument("--tol", type=float, default=TOL_ALIGN, help="leakage tolerance")
-    common(sp, seed_help="channel seed (default 0)")
+    common(sp, cmd_cj3, seed_help="channel seed (default 0)", seed=0)
 
     sp = sub.add_parser("probe", help="nullspace probing of the channel space")
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
     sp.add_argument("--draws", type=int, default=50, help="number of (U,V) draws")
-    common(sp, seed_help="draw seed (default 0; channel seed unused here)")
+    common(sp, cmd_probe, seed_help="draw seed (default 0; channel seed unused here)",
+           seed=0)
 
     sp = sub.add_parser("solve", help="Monte Carlo feasibility classification")
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
@@ -313,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iters", type=int, default=1000, dest="max_iters",
                     help="iteration cap per run")
     sp.add_argument("--tol", type=float, default=TOL_ALIGN, help="leakage tolerance")
-    common(sp, seed_help="solver seed (default 0)")
+    common(sp, cmd_solve, seed_help="solver seed (default 0)", seed=0)
 
     sp = sub.add_parser("verify", help="check a stored solution against channels")
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
@@ -321,46 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--channels", type=Path, default=None,
                     help="channels JSON path (default: sample from config)")
     sp.add_argument("--tol", type=float, default=TOL_ALIGN, help="leakage tolerance")
-    common(sp, seed_help="channel seed override")
+    common(sp, cmd_verify, seed_help="channel seed override")
 
     sp = sub.add_parser("export-poly",
                         help="write the alignment equations as a polynomial system")
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
     sp.add_argument("--channels", type=Path, default=None,
                     help="channels JSON path (default: sample from config)")
-    common(sp, seed_help="channel seed override")
+    common(sp, cmd_export_poly, seed_help="channel seed override")
     return parser
 
 
-def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    spec = ExperimentSpec(command=args.command, out=getattr(args, "out", None),
-                          fmt=getattr(args, "fmt", "json"),
-                          seed=getattr(args, "seed", None))
-    for name in ("n", "n_max", "draws", "trials", "restarts", "max_iters", "tol"):
-        value = getattr(args, name, None)
-        if value is not None and not isinstance(value, str):
-            setattr(spec, name, value)
-    if args.command in ("bounds", "cj-params", "contradiction"):
-        sweep = {}
-        for key in ("K", "n", "M"):
-            if hasattr(args, key) and isinstance(getattr(args, key), str):
-                sweep[key] = parse_range(getattr(args, key))
-        spec.sweep = sweep
-    if getattr(args, "config", None) is not None:
-        # --seed on probe/solve steers draws, not channels; leave cfg.seed alone
-        override = spec.seed if args.command in ("verify", "export-poly") else None
-        spec.config = _load_config(args.config, override)
-    if getattr(args, "channels", None) is not None:
-        # stored in the config's layout; a nonzero confined entry is an error
-        spec.channels = channels_from_json(_load_json(args.channels)).in_layout(spec.config)
-    if getattr(args, "solution", None) is not None:
-        spec.solution_path = args.solution
-    return spec
-
-
-def _emit(spec: ExperimentSpec, payload, rows, text) -> None:
+def _emit(args: argparse.Namespace, payload, rows, text) -> None:
     if text is None:
-        if spec.fmt == "json":
+        if args.fmt == "json":
             text = json.dumps(payload, indent=2) + "\n"
         else:
             buf = io.StringIO()
@@ -370,8 +325,8 @@ def _emit(spec: ExperimentSpec, payload, rows, text) -> None:
             for row in rows:
                 writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
             text = buf.getvalue()
-    if spec.out is not None:
-        spec.out.write_text(text, encoding="utf-8")
+    if args.out is not None:
+        args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -379,9 +334,7 @@ def _emit(spec: ExperimentSpec, payload, rows, text) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = spec_from_args(args)
-        payload, rows, text = _COMMANDS[spec.command](spec)
-        _emit(spec, payload, rows, text)
+        _emit(args, *args.run(args))
     except (SingularChannel, DegenerateSpan, RankDeficient, SingularGaugeBlock,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

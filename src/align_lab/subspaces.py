@@ -14,7 +14,6 @@ __all__ = [
     "numerical_rank",
     "orthonormal_columns",
     "nullspace_basis",
-    "orthogonal_complement",
 ]
 
 
@@ -63,14 +62,3 @@ def nullspace_basis(a: np.ndarray) -> np.ndarray:
     rank = _rank_from_singular_values(a.shape, s)
     return vh[rank:].conj().T
 
-
-def orthogonal_complement(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column space."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if a.shape[1] == 0:
-        return np.eye(a.shape[0], dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = _rank_from_singular_values(a.shape, s)
-    return u[:, rank:]

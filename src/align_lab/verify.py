@@ -2,9 +2,9 @@
 
 A solution aligns when every cross product (U^[j])^H H[j][k] V^[k], j != k,
 vanishes while each direct product (U^[k])^H H[k][k] V^[k] keeps full rank
-d_k. The continuous residual used here, ``leakage``, is the squared Frobenius
-norm of the cross products evaluated on column-orthonormalized copies of U
-and V. Orthonormalizing first makes the metric a property of the chosen
+d_k. The continuous residual that ``check`` reports as ``leakage`` is the
+squared Frobenius norm of the cross products evaluated on column-orthonormalized
+copies of U and V. Orthonormalizing first makes the metric a property of the chosen
 subspaces alone, so any change of basis within a precoder or decoder leaves
 it unchanged.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "TOL_ALIGN",
     "GAUGE_COND_MAX",
     "VerificationResult",
-    "leakage",
     "check",
     "normalize_gauge",
     "result_to_json",
@@ -103,20 +102,14 @@ def _cross_leakage(us: np.ndarray, hv: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.vdot(crosses, crosses).real), crosses
 
 
-def leakage(ch: ChannelSet, sol: IaSolution) -> float:
-    """Total interference power leaking outside the aligned subspaces.
-
-    Zero exactly when every cross product vanishes. Raises RankDeficient when
-    a precoder or decoder does not span a d_k-dimensional subspace, since the
-    metric is then not about the intended subspace at all.
-    """
-    _check_dims(ch, sol)
-    us, vs = _orthonormalized(sol)
-    return _cross_leakage(us, _images(ch, vs))[0]
-
-
 def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> VerificationResult:
-    """Full verdict: leakage, worst cross entry, and per-user direct ranks."""
+    """Full verdict: leakage, worst cross entry, and per-user direct ranks.
+
+    The leakage is the total interference power outside the aligned
+    subspaces, zero exactly when every cross product vanishes. Raises
+    RankDeficient when a precoder or decoder does not span a d_k-dimensional
+    subspace, since the metric is then not about the intended subspace at all.
+    """
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
     leak, crosses = _cross_leakage(us, _images(ch, vs))

@@ -35,7 +35,7 @@ from align_lab.model import (
 from align_lab.probe import assemble_channels, draw_random_solution, pair_block, run_probe
 from align_lab.subspaces import nullspace_basis
 from align_lab.solve import Classification, SolverOptions, classify
-from align_lab.verify import check, leakage, normalize_gauge
+from align_lab.verify import check, normalize_gauge
 
 
 def test_criterion_1_properness_equals_closed_form_bound():
@@ -117,7 +117,7 @@ def test_criterion_5_probe_solutions_realign_and_generic_space_fills():
             for i in range(basis.shape[1]):
                 h = np.zeros(dim_channel_space(cfg), dtype=complex)
                 h[offset:offset + rows.size] = basis[:, i]
-                assert leakage(assemble_channels(cfg, h), sol) <= 1e-8, (case, j, k, i)
+                assert check(assemble_channels(cfg, h), sol).leakage <= 1e-8, (case, j, k, i)
                 checked_vectors += 1
             offset += rows.size
     assert checked_vectors > 100  # the mix must actually exercise nullspaces
@@ -162,7 +162,7 @@ def test_criterion_7_gauge_preserves_leakage_and_cli_is_reproducible(tmp_path):
         sol = IaSolution(
             V=tuple(complex_normal(stream, n, d) for _ in range(k)),
             U=tuple(complex_normal(stream, n, d) for _ in range(k)))
-        delta = abs(leakage(ch, sol) - leakage(ch, normalize_gauge(sol)))
+        delta = abs(check(ch, sol).leakage - check(ch, normalize_gauge(sol)).leakage)
         assert delta < 1e-10, (case, delta)
 
     cfg_path = tmp_path / "cfg.json"

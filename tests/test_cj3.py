@@ -94,6 +94,15 @@ def test_construct_rejects_dense_channels():
         construct(ch, 1)
 
 
+def test_construct_rejects_diagonal_values_in_the_generic_layout():
+    # the construction reads diagonal-layout sets only; in_layout moves one there
+    cfg = diagonal_config(3, 3, (2, 1, 1), seed=2)
+    dense = ChannelSet(sample_channels(cfg).matrices)
+    with pytest.raises(DimensionMismatch, match="generic layout"):
+        construct(dense, 1)
+    construct(dense.in_layout(cfg), 1)
+
+
 def test_construct_rejects_wrong_user_count():
     ch = sample_channels(diagonal_config(4, 3, 1))
     with pytest.raises(DimensionMismatch):
@@ -101,10 +110,10 @@ def test_construct_rejects_wrong_user_count():
 
 
 def zeroed_entry_channels():
-    ch = sample_channels(diagonal_config(3, 3, (2, 1, 1), seed=2))
-    mats = [[m.copy() for m in row] for row in ch.matrices]
+    cfg = diagonal_config(3, 3, (2, 1, 1), seed=2)
+    mats = [[m.copy() for m in row] for row in sample_channels(cfg).matrices]
     mats[0][1][1, 1] = 0.0
-    return ChannelSet(matrices=tuple(tuple(r) for r in mats))
+    return ChannelSet(matrices=tuple(tuple(r) for r in mats)).in_layout(cfg)
 
 
 def test_construct_rejects_singular_channel():
@@ -114,8 +123,8 @@ def test_construct_rejects_singular_channel():
 
 def all_ones_channels(n_s):
     eye = np.eye(n_s, dtype=complex)
-    return ChannelSet(matrices=tuple(tuple(eye for _ in range(3))
-                                     for _ in range(3)))
+    dense = ChannelSet(matrices=tuple(tuple(eye for _ in range(3)) for _ in range(3)))
+    return dense.in_layout(diagonal_config(3, n_s, 1))
 
 
 def test_identical_channels_collapse_the_chain():

@@ -18,6 +18,7 @@ import align_lab
 from align_lab.cli import main
 from align_lab.model import (
     block_diagonal_config,
+    config_from_json,
     config_to_json,
     diagonal_config,
     generic_config,
@@ -253,6 +254,15 @@ def test_export_poly_evaluates_to_the_cross_terms(tmp_path):
             assert abs(evaluate_poly(line, values) - expect) < 1e-12, cfg
 
 
+def test_readme_config_examples_load():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    # one block may hold several documents, separated by blank lines
+    cfgs = [config_from_json(json.loads(doc))
+            for block in blocks for doc in block.split("\n\n")]
+    assert {cfg.structure.kind.value for cfg in cfgs} >= {"generic", "block-diagonal"}
+
+
 def test_exit_code_for_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"K": 3}')
@@ -307,6 +317,30 @@ def test_probe_reproducible_and_seed_sensitive(tmp_path):
     b = run_json(tmp_path, ["probe", "--config", cfg_path, "--draws", "3",
                             "--seed", "1"], out="b.json")
     assert a == b
+
+
+def test_seed_meaning_per_subcommand(tmp_path):
+    # probe and solve: --seed steers the draws and leaves the config's seed alone
+    cfg_path = write_config(tmp_path, diagonal_config(3, 5, (2, 1, 1), seed=3))
+    probe = ["probe", "--config", cfg_path, "--draws", "1"]
+    doc = run_json(tmp_path, probe + ["--seed", "1"])
+    assert (doc["config"]["seed"], doc["draws_seed"]) == (3, 1)
+    assert run_json(tmp_path, probe)["draws_seed"] == 0
+    solve = ["solve", "--config", cfg_path, "--trials", "1", "--max-iters", "2"]
+    assert run_json(tmp_path, solve)["options"]["seed"] == 0
+    doc = run_json(tmp_path, solve + ["--seed", "2"])
+    assert (doc["config"]["seed"], doc["options"]["seed"]) == (3, 2)
+    # cj3: --seed is the channel seed, 0 by default
+    assert run_json(tmp_path, ["cj3", "--n", "1"])["seed"] == 0
+    # verify and export-poly: --seed overrides the config's channel seed
+    paths = write_witness_with_stray_entry(tmp_path)
+    doc = run_json(tmp_path, ["verify", "--config", str(paths["config"]),
+                              "--solution", str(paths["solution"]), "--seed", "9"])
+    assert doc["config"]["seed"] == 9
+    out = tmp_path / "sys.txt"
+    assert main(["export-poly", "--config", str(paths["config"]), "--seed", "9",
+                 "--out", str(out)]) == 0
+    assert " seed=9\n" in out.read_text().splitlines(keepends=True)[0]
 
 
 def test_console_script_smoke(tmp_path):

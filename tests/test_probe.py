@@ -22,7 +22,7 @@ from align_lab.probe import (
     run_probe,
 )
 from align_lab.subspaces import nullspace_basis
-from align_lab.verify import leakage
+from align_lab.verify import check
 
 ALL_STRUCTURES = [
     generic_config(3, (2, 3, 2), 1, seed=4),
@@ -98,7 +98,7 @@ def test_nullspace_vectors_assemble_into_aligned_channels(cfg):
     vectors = padded_nullspace_vectors(cfg, sol)
     assert vectors
     for h in vectors:
-        assert leakage(assemble_channels(cfg, h), sol) <= 1e-8
+        assert check(assemble_channels(cfg, h), sol).leakage <= 1e-8
 
 
 def test_assemble_rejects_wrong_length():

@@ -16,7 +16,7 @@ from align_lab.model import (
     sample_channels,
     substream,
 )
-from align_lab.verify import check, leakage, normalize_gauge, result_to_json
+from align_lab.verify import check, normalize_gauge, result_to_json
 
 
 def identity_case(k=2, n=2, d=1):
@@ -78,7 +78,7 @@ def test_random_pair_leaks():
 
 def test_leakage_is_gauge_invariant():
     inst = build_instance(1, seed=5)
-    base = leakage(inst.channels, inst.solution)
+    base = check(inst.channels, inst.solution).leakage
     rng = substream(5, 31)
     v = tuple(vk @ (complex_normal(rng, vk.shape[1], vk.shape[1])
                     + 3 * np.eye(vk.shape[1]))
@@ -86,7 +86,7 @@ def test_leakage_is_gauge_invariant():
     u = tuple(uk @ (complex_normal(rng, uk.shape[1], uk.shape[1])
                     + 3 * np.eye(uk.shape[1]))
               for uk in inst.solution.U)
-    mixed = leakage(inst.channels, IaSolution(V=v, U=u))
+    mixed = check(inst.channels, IaSolution(V=v, U=u)).leakage
     assert abs(mixed - base) < 1e-10
 
 
@@ -96,7 +96,7 @@ def test_scaling_does_not_change_leakage():
     sol = random_solution(cfg, seed=8)
     scaled = IaSolution(V=tuple(17.0 * v for v in sol.V),
                         U=tuple(0.01 * u for u in sol.U))
-    assert abs(leakage(ch, sol) - leakage(ch, scaled)) < 1e-12
+    assert abs(check(ch, sol).leakage - check(ch, scaled).leakage) < 1e-12
 
 
 def test_normalize_gauge_puts_identity_on_top():
@@ -111,8 +111,8 @@ def test_normalize_gauge_puts_identity_on_top():
 def test_normalize_gauge_preserves_leakage():
     inst = build_instance(2, seed=77)
     normalized = normalize_gauge(inst.solution)
-    before = leakage(inst.channels, inst.solution)
-    after = leakage(inst.channels, normalized)
+    before = check(inst.channels, inst.solution).leakage
+    after = check(inst.channels, normalized).leakage
     assert abs(before - after) < 1e-10
     for k in range(3):
         top = normalized.V[k][: inst.solution.d[k]]
@@ -151,7 +151,7 @@ def test_tighter_tolerance_flips_the_verdict():
 def test_misalignment_threshold_over_random_seeds(seed):
     cfg = generic_config(3, 2, 1, seed=seed)
     ch = sample_channels(cfg)
-    assert leakage(ch, random_solution(cfg, seed=seed)) > 1e-3
+    assert check(ch, random_solution(cfg, seed=seed)).leakage > 1e-3
 
 
 def test_paper_scale_diagonal_channels_are_checked():
