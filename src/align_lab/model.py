@@ -491,7 +491,11 @@ def channels_from_json(doc: list, cfg: SystemConfig) -> ChannelSet:
 
     ``ChannelSet.from_dense`` checks them against ``cfg``.
     """
-    return ChannelSet.from_dense(cfg, [[_matrix_from_json(m) for m in row] for row in doc])
+    try:
+        matrices = [[_matrix_from_json(m) for m in row] for row in doc]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed channels document: {exc}") from exc
+    return ChannelSet.from_dense(cfg, matrices)
 
 
 def solution_to_json(sol: IaSolution) -> dict:
@@ -500,8 +504,12 @@ def solution_to_json(sol: IaSolution) -> dict:
 
 
 def solution_from_json(doc: dict) -> IaSolution:
-    return IaSolution(V=tuple(_matrix_from_json(m) for m in doc["V"]),
-                      U=tuple(_matrix_from_json(m) for m in doc["U"]))
+    try:
+        vs = tuple(_matrix_from_json(m) for m in doc["V"])
+        us = tuple(_matrix_from_json(m) for m in doc["U"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed solution document: {exc}") from exc
+    return IaSolution(V=vs, U=us)
 
 
 def with_seed(cfg: SystemConfig, seed: int) -> SystemConfig:

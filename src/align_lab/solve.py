@@ -5,13 +5,14 @@ precoders frozen, each decoder is set to the least-dominant eigenvectors of
 the interference covariance at its receiver; with decoders frozen, precoders
 get the symmetric update in the reciprocal network (all channels conjugate
 transposed). Both half-steps minimize the same total leakage, so the
-trajectory never increases. Each half-step updates all users at once: one
-stacked product with the zero-padded channel stack, one matmul for all
-interference covariances, and one batched ``eigh`` per distinct N_k. The
-classifier runs the solver on many channel draws and restarts, then buckets
-the outcome; absence of success is weak evidence (local minima exist), so the
-thresholds are deliberately asymmetric and a known explicit witness overrides
-solver failure.
+trajectory never increases. Each half-step updates all users of all runs at
+once: one stacked product with the zero-padded channel stack of every run,
+one matmul for all interference covariances, and one batched ``eigh`` per
+distinct N_k. A run that stops drops out of the stacks; the others sweep on
+exactly as they would alone. The classifier solves all its channel draws and
+restarts together, then buckets the outcome; absence of success is weak
+evidence (local minima exist), so the thresholds are deliberately asymmetric
+and a known explicit witness overrides solver failure.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
 
 _TRIAL_SALT = 65537    # derives per-trial channel seeds
 _RESTART_SALT = 9973   # derives per-(trial, restart) init streams
+_BATCH_BYTES = 2**26   # cap on the channel stacks of one batch of runs
 
 
 class Classification(enum.Enum):
@@ -127,16 +129,23 @@ def _stack(mats, rows: int, cols: int) -> np.ndarray:
 def _fix_phase(x: np.ndarray) -> np.ndarray:
     """Rotate each column so its first entry above 1e-12 in modulus is real positive.
 
-    ``x`` is a (K, n, w) stack; columns with no such entry, such as the zero
-    padding of a stack, are left as they are.
+    ``x`` is a (..., n, w) stack; columns with no such entry, such as the zero
+    padding of a stack, are left as they are. Row 0 is the pivot wherever it
+    is above the cutoff; only the other columns search for their first entry.
     """
-    K, _, w = x.shape
+    pivot = x[..., 0, :]
     # np.hypot rounds as abs() of a complex scalar does; np.abs of an array may not
-    mod = np.hypot(x.real, x.imag)
-    at = (np.arange(K)[:, None], (mod > 1e-12).argmax(axis=1), np.arange(w))
-    # argmax gives row 0 in a column without such an entry; do not rotate it
-    pivot = np.where(mod[at] > 1e-12, x[at], 1.0)
-    return x * (pivot.conj() / np.hypot(pivot.real, pivot.imag))[:, None, :]
+    mod = np.hypot(pivot.real, pivot.imag)
+    rest = ~(mod > 1e-12)
+    if rest.any():
+        cols = x.swapaxes(-1, -2)[rest]
+        above = np.hypot(cols.real, cols.imag) > 1e-12
+        at = (np.arange(len(cols)), above.argmax(axis=1))
+        # argmax gives row 0 in a column without such an entry; do not rotate it
+        pivot = pivot.copy()
+        pivot[rest] = np.where(above[at], cols[at], 1.0)
+        mod = np.hypot(pivot.real, pivot.imag)
+    return x * (pivot.conj() / mod)[..., None, :]
 
 
 def _cross_stack(ch: ChannelSet) -> np.ndarray:
@@ -148,28 +157,35 @@ def _cross_stack(ch: ChannelSet) -> np.ndarray:
     return h
 
 
-def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
+def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray | None,
                         groups: list[tuple[int, np.ndarray]]
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """One half-step: every receiver's least-interference subspace at once.
+    """One half-step of many runs: every receiver's least-interference subspace.
 
-    ``h`` is a (K, K, N_max, N_max) channel stack with zero direct pairs and
-    ``x`` the (K, N_max, d_max) stack of transmit bases. The interference
-    covariance at receiver k is G_k G_k^H, where G_k lines up the images
-    h[k, j] @ x[j] over all j. Its least-dominant eigenvectors, one batched
-    ``eigh`` per distinct N_k in ``groups``, fill the first d_k columns of
-    receiver k; ``keep`` (K, d_max) zeroes the rest. Returns the new receive
-    bases and the (K, K, N_max, d_max) stack of images.
+    ``h`` is an (R, K, K, N_max, N_max) stack of R runs' channels with zero
+    direct pairs and ``x`` the (R, K, N_max, d_max) stack of transmit bases.
+    The interference covariance at receiver k of run r is G G^H, where G lines
+    up the images h[r, k, j] @ x[r, j] over all j. Its least-dominant
+    eigenvectors, one batched ``eigh`` per distinct N_k in ``groups``, fill
+    the first d_k columns of receiver k; ``keep`` (K, d_max) zeroes the rest,
+    and is None when every d_k is d_max. Returns the new receive bases and the
+    (R, K, K, N_max, d_max) stack of images.
     """
-    K, n, w = x.shape
-    hx = h @ x[None]
-    g = hx.transpose(0, 2, 1, 3).reshape(K, n, K * w)
+    R, K, n, w = x.shape
+    hx = h @ x[:, None]
+    g = hx.transpose(0, 1, 3, 2, 4).reshape(R, K, n, K * w)
     q = g @ g.conj().swapaxes(-1, -2)
-    out = np.zeros_like(x)
-    for n_k, users in groups:
-        cols = min(n_k, w)
-        out[users, :n_k, :cols] = np.linalg.eigh(q[users, :n_k, :n_k])[1][..., :cols]
-    return _fix_phase(out * keep[:, None, :]), hx
+    if len(groups) == 1:
+        out = np.linalg.eigh(q)[1][..., :w]
+    else:
+        out = np.zeros_like(x)
+        for n_k, users in groups:
+            cols = min(n_k, w)
+            out[:, users, :n_k, :cols] = \
+                np.linalg.eigh(q[:, users, :n_k, :n_k])[1][..., :cols]
+    if keep is not None:
+        out = out * keep[:, None, :]
+    return _fix_phase(out), hx
 
 
 def _stop_reason(trajectory: list[float], opts: SolverOptions) -> str | None:
@@ -190,6 +206,58 @@ def _stop_reason(trajectory: list[float], opts: SolverOptions) -> str | None:
     return None
 
 
+def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOptions,
+                   rngs: list[np.random.Generator]
+                   ) -> list[tuple[IaSolution, list[float], str]]:
+    """Alternating leakage minimization of runs on channel sets of one shape.
+
+    Run r solves ``chs[r]`` from precoders drawn from ``rngs[r]``; returns
+    its solution, trajectory and stop reason. Every half-step updates all
+    users of all live runs at once, and a run leaves the stacks as soon as
+    ``_stop_reason`` stops it, so each run's iterates are exactly those it
+    would take alone.
+    """
+    N = chs[0].N
+    d = tuple(int(x) for x in d)
+    if len(d) != len(N):
+        raise DimensionMismatch(f"{len(d)} stream counts for {len(N)} users")
+    for k, (dk, nk) in enumerate(zip(d, N)):
+        if not 1 <= dk <= nk:
+            raise DimensionMismatch(f"user {k}: d_k={dk} does not fit N_k={nk}")
+
+    n, w = max(N), max(d)
+    vs = np.stack([_stack([np.linalg.qr(complex_normal(rng, n_k, d_k))[0]
+                           for n_k, d_k in zip(N, d)], n, w) for rng in rngs])
+    h = np.stack([_cross_stack(ch) for ch in chs])
+    h_rec = np.ascontiguousarray(h.conj().transpose(0, 2, 1, 4, 3))
+    keep = None if len(set(d)) == 1 else np.arange(w) < np.array(d)[:, None]
+    sizes = np.array(N)
+    groups = [(n_k, np.flatnonzero(sizes == n_k)) for n_k in sorted(set(N))]
+
+    live = list(range(len(chs)))
+    trajectories: list[list[float]] = [[] for _ in chs]
+    done: list = [None] * len(chs)
+    us, hv = _least_interference(h, vs, keep, groups)
+    while True:
+        going = []
+        for i, r in enumerate(live):
+            trajectories[r].append(_cross_leakage(us[i][:, None], hv[i])[0])
+            reason = _stop_reason(trajectories[r], opts)
+            if reason is None:
+                going.append(i)
+                continue
+            sol = IaSolution(V=tuple(v[:n_k, :d_k] for v, n_k, d_k in zip(vs[i], N, d)),
+                             U=tuple(u[:n_k, :d_k] for u, n_k, d_k in zip(us[i], N, d)))
+            done[r] = (sol, trajectories[r], reason)
+        if not going:
+            return done
+        if len(going) < len(live):
+            live = [live[i] for i in going]
+            h, h_rec, us = h[going], h_rec[going], us[going]
+        vs = _least_interference(h_rec, us, keep, groups)[0]
+        us, hv = _least_interference(h, vs, keep, groups)
+
+
 def minimize_leakage(ch: ChannelSet, d: tuple[int, ...], opts: SolverOptions,
                      rng: np.random.Generator | None = None
                      ) -> tuple[IaSolution, list[float]]:
@@ -200,36 +268,14 @@ def minimize_leakage(ch: ChannelSet, d: tuple[int, ...], opts: SolverOptions,
     already a minimized value. Iteration stops as ``_stop_reason`` says: at
     exact zero, at a plateau, or after max_iters sweeps; scaling the plateau
     test by the level keeps slow descents toward tolerance alive without
-    letting stalled runs burn the iteration budget. Each half-step updates
-    all users at once on zero-padded stacks. All iterates have orthonormal
-    columns, making the internal metric identical to the verifier's.
+    letting stalled runs burn the iteration budget. This is the one-run call
+    of ``_minimize_runs``, the solver ``run_trials`` batches. All iterates
+    have orthonormal columns, making the internal metric identical to the
+    verifier's.
     """
-    d = tuple(int(x) for x in d)
-    if len(d) != ch.K:
-        raise DimensionMismatch(f"{len(d)} stream counts for {ch.K} users")
-    for k, (dk, nk) in enumerate(zip(d, ch.N)):
-        if not 1 <= dk <= nk:
-            raise DimensionMismatch(f"user {k}: d_k={dk} does not fit N_k={nk}")
     if rng is None:
         rng = substream(0, _RESTART_SALT, 0, 0)
-
-    n, w = max(ch.N), max(d)
-    vs = _stack([np.linalg.qr(complex_normal(rng, n_k, d_k))[0]
-                 for n_k, d_k in zip(ch.N, d)], n, w)
-    h = _cross_stack(ch)
-    h_rec = np.ascontiguousarray(h.conj().transpose(1, 0, 3, 2))
-    keep = np.arange(w) < np.array(d)[:, None]
-    sizes = np.array(ch.N)
-    groups = [(n_k, np.flatnonzero(sizes == n_k)) for n_k in sorted(set(ch.N))]
-
-    us, hv = _least_interference(h, vs, keep, groups)
-    trajectory = [_cross_leakage(us[:, None], hv)[0]]
-    while _stop_reason(trajectory, opts) is None:
-        vs = _least_interference(h_rec, us, keep, groups)[0]
-        us, hv = _least_interference(h, vs, keep, groups)
-        trajectory.append(_cross_leakage(us[:, None], hv)[0])
-    sol = IaSolution(V=tuple(v[:n_k, :d_k] for v, n_k, d_k in zip(vs, ch.N, d)),
-                     U=tuple(u[:n_k, :d_k] for u, n_k, d_k in zip(us, ch.N, d)))
+    sol, trajectory, _ = _minimize_runs([ch], d, opts, [rng])[0]
     return sol, trajectory
 
 
@@ -239,18 +285,25 @@ def _trial_channel_seed(cfg: SystemConfig, opts: SolverOptions, trial: int) -> i
 
 
 def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:
-    """Solve trials x restarts independent runs; order-independent streams."""
+    """Solve trials x restarts independent runs; order-independent streams.
+
+    The runs are solved together by ``_minimize_runs``, in batches whose
+    channel stacks stay under ``_BATCH_BYTES``.
+    """
+    keys = [(t, s) for t in range(opts.trials) for s in range(opts.restarts)]
+    per_run = 2 * cfg.K ** 2 * max(cfg.N) ** 2 * np.dtype(complex).itemsize
+    size = max(1, _BATCH_BYTES // per_run)
     records = []
-    for trial in range(opts.trials):
-        ch = sample_channels(with_seed(cfg, _trial_channel_seed(cfg, opts, trial)))
-        for restart in range(opts.restarts):
-            rng = substream(opts.seed, _RESTART_SALT, trial, restart)
-            sol, traj = minimize_leakage(ch, cfg.d, opts, rng=rng)
-            res = check(ch, sol, tol_align=opts.tol_align)
-            records.append(RunRecord(trial=trial, restart=restart,
-                                     iters=len(traj) - 1,
-                                     stop_reason=_stop_reason(traj, opts),
-                                     final_leakage=res.leakage,
+    for start in range(0, len(keys), size):
+        batch = keys[start:start + size]
+        chs = {t: sample_channels(with_seed(cfg, _trial_channel_seed(cfg, opts, t)))
+               for t in {t for t, _ in batch}}
+        runs = _minimize_runs([chs[t] for t, _ in batch], cfg.d, opts,
+                              [substream(opts.seed, _RESTART_SALT, t, s) for t, s in batch])
+        for (trial, restart), (sol, traj, reason) in zip(batch, runs):
+            res = check(chs[trial], sol, tol_align=opts.tol_align)
+            records.append(RunRecord(trial=trial, restart=restart, iters=len(traj) - 1,
+                                     stop_reason=reason, final_leakage=res.leakage,
                                      aligned=res.aligned, rank_ok=res.rank_ok,
                                      success=res.aligned and res.rank_ok,
                                      trajectory=tuple(traj), solution=sol))

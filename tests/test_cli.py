@@ -182,6 +182,26 @@ def test_off_support_channel_entry_is_rejected(tmp_path, capsys, command):
     assert "H[0][1] has entry (1, 2) = (5+0j) outside the diagonal structure" in err
 
 
+@pytest.mark.parametrize("flag, doc, what", [
+    ("--channels", [[1, 2], [3, 4]], "channels"),
+    ("--solution", {"V": 1}, "solution"),
+    ("--solution", {"V": []}, "solution"),
+], ids=["channels-of-ints", "solution-V-int", "solution-without-U"])
+def test_malformed_json_input_exits_2(tmp_path, capsys, flag, doc, what):
+    paths = write_witness_with_stray_entry(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    inputs = {"--channels": paths["channels"], "--solution": paths["solution"], flag: bad}
+    args = ["verify", "--config", str(paths["config"])]
+    for name, path in inputs.items():
+        args += [name, str(path)]
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {what} document: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_reports_misalignment_without_failing(tmp_path):
     cfg = generic_config(2, 2, 1, seed=6)
     cfg_path = write_config(tmp_path, cfg)

@@ -16,12 +16,15 @@ from align_lab.model import (
     generic_config,
     sample_channels,
     substream,
+    with_seed,
 )
 from align_lab.solve import (
+    _RESTART_SALT,
     Classification,
     SolverOptions,
     _fix_phase,
     _stop_reason,
+    _trial_channel_seed,
     classify,
     config_digest,
     minimize_leakage,
@@ -94,6 +97,21 @@ def test_fix_phase_matches_the_per_column_loop():
     # 1e-12 itself is not above the cutoff: the pivot is row 3
     assert abs(out[2, 3, 2].imag) < 1e-15 * out[2, 3, 2].real
 
+    # row 0 above the cutoff in every column takes the fast path alone;
+    # beside zero padding and a column that searches further, it takes both
+    x = complex_normal(substream(12, 3), 3, 5, 4)
+    x[:, 0] += 1e-11 * np.sign(x[:, 0].real)
+    mixed = x.copy()
+    mixed[1, :, 2:] = 0.0
+    mixed[2, 0, 1] = 1e-13
+    for stack in (x, mixed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _fix_phase(stack)
+        for k in range(stack.shape[0]):
+            np.testing.assert_array_equal(out[k], _fix_phase_loop(stack[k]))
+    np.testing.assert_array_equal(out[1, :, 2:], 0.0)
+
 
 @pytest.mark.parametrize("cfg", [
     generic_config(3, 2, 1, seed=1),
@@ -128,6 +146,41 @@ def test_options_validation():
         SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         SolverOptions(trials=-1)
+
+
+@pytest.mark.parametrize("cfg, staggered", [
+    (generic_config(3, 2, 1, seed=1), True),                    # runs leave the batch early
+    (diagonal_config(3, 7, (4, 3, 3), seed=1), False),          # unequal d_k: the keep mask
+    (generic_config(3, (2, 3, 4), (1, 3, 2), seed=1), False),   # two eigh groups, N_0 < d_max
+], ids=["generic-3-2-1", "diagonal-7-433", "generic-234-132"])
+def test_run_trials_matches_per_run_minimize_leakage(cfg, staggered):
+    opts = SolverOptions(max_iters=300, trials=3, restarts=2, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_trials(cfg, opts)
+        for rec in records:
+            ch = sample_channels(with_seed(cfg, _trial_channel_seed(cfg, opts, rec.trial)))
+            sol, traj = minimize_leakage(ch, cfg.d, opts, rng=substream(
+                opts.seed, _RESTART_SALT, rec.trial, rec.restart))
+            assert rec.iters == len(traj) - 1
+            assert rec.stop_reason == _stop_reason(traj, opts)
+            assert rec.trajectory == tuple(traj)
+            for got, want in zip(rec.solution.V + rec.solution.U, sol.V + sol.U):
+                assert got.tobytes() == want.tobytes()
+    if staggered:
+        assert len({rec.iters for rec in records}) > 1
+
+
+def test_run_trials_batches_split_without_changing_records(monkeypatch):
+    cfg = generic_config(3, 2, 1, seed=1)
+    opts = SolverOptions(max_iters=200, trials=3, restarts=2, seed=4)
+    whole = run_trials(cfg, opts)
+    # three runs per batch: trial 1's restarts fall into different batches
+    monkeypatch.setattr(solve, "_BATCH_BYTES", 3 * 2 * 3 ** 2 * 2 ** 2 * 16)
+    for a, b in zip(whole, run_trials(cfg, opts), strict=True):
+        assert (a.trial, a.restart, a.iters, a.stop_reason, a.trajectory) == \
+            (b.trial, b.restart, b.iters, b.stop_reason, b.trajectory)
+        assert a.solution.V[0].tobytes() == b.solution.V[0].tobytes()
 
 
 def test_trajectory_is_monotone_and_solution_verifies():
