@@ -46,7 +46,10 @@ __all__ = [
 
 _TRIAL_SALT = 65537    # derives per-trial channel seeds
 _RESTART_SALT = 9973   # derives per-(trial, restart) init streams
-_BATCH_BYTES = 2**26   # cap on the channel stacks of one batch of runs
+# Cap on the solver stacks of one batch of runs. Batching saves call overhead,
+# which matters only on small matrices; runs of K=3, N >= 40 gain nothing from
+# it, so a larger cap would only hold more memory.
+_BATCH_BYTES = 2**20
 
 
 class Classification(enum.Enum):
@@ -157,7 +160,7 @@ def _cross_stack(ch: ChannelSet) -> np.ndarray:
     return h
 
 
-def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray | None,
+def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
                         groups: list[tuple[int, np.ndarray]]
                         ) -> tuple[np.ndarray, np.ndarray]:
     """One half-step of many runs: every receiver's least-interference subspace.
@@ -167,9 +170,9 @@ def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray | None,
     The interference covariance at receiver k of run r is G G^H, where G lines
     up the images h[r, k, j] @ x[r, j] over all j. Its least-dominant
     eigenvectors, one batched ``eigh`` per distinct N_k in ``groups``, fill
-    the first d_k columns of receiver k; ``keep`` (K, d_max) zeroes the rest,
-    and is None when every d_k is d_max. Returns the new receive bases and the
-    (R, K, K, N_max, d_max) stack of images.
+    the first d_k columns of receiver k; ``keep`` (K, d_max) zeroes the rest.
+    Returns the new receive bases and the (R, K, K, N_max, d_max) stack of
+    images.
     """
     R, K, n, w = x.shape
     hx = h @ x[:, None]
@@ -183,9 +186,7 @@ def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray | None,
             cols = min(n_k, w)
             out[:, users, :n_k, :cols] = \
                 np.linalg.eigh(q[:, users, :n_k, :n_k])[1][..., :cols]
-    if keep is not None:
-        out = out * keep[:, None, :]
-    return _fix_phase(out), hx
+    return _fix_phase(out * keep[:, None, :]), hx
 
 
 def _stop_reason(trajectory: list[float], opts: SolverOptions) -> str | None:
@@ -230,7 +231,7 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
                            for n_k, d_k in zip(N, d)], n, w) for rng in rngs])
     h = np.stack([_cross_stack(ch) for ch in chs])
     h_rec = np.ascontiguousarray(h.conj().transpose(0, 2, 1, 4, 3))
-    keep = None if len(set(d)) == 1 else np.arange(w) < np.array(d)[:, None]
+    keep = np.arange(w) < np.array(d)[:, None]
     sizes = np.array(N)
     groups = [(n_k, np.flatnonzero(sizes == n_k)) for n_k in sorted(set(N))]
 
@@ -284,15 +285,25 @@ def _trial_channel_seed(cfg: SystemConfig, opts: SolverOptions, trial: int) -> i
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _run_bytes(cfg: SystemConfig) -> int:
+    """Bytes one run adds to the stacks of a half-step.
+
+    Its channels h and h_rec, the images hx and their regrouped copy g, the
+    covariances q and their eigenvectors.
+    """
+    K, n, w = cfg.K, max(cfg.N), max(cfg.d)
+    return 2 * (K * K * n * n + K * K * n * w + K * n * n) * np.dtype(complex).itemsize
+
+
 def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:
     """Solve trials x restarts independent runs; order-independent streams.
 
     The runs are solved together by ``_minimize_runs``, in batches whose
-    channel stacks stay under ``_BATCH_BYTES``.
+    solver stacks stay under ``_BATCH_BYTES``; a run too large for that is
+    solved alone.
     """
     keys = [(t, s) for t in range(opts.trials) for s in range(opts.restarts)]
-    per_run = 2 * cfg.K ** 2 * max(cfg.N) ** 2 * np.dtype(complex).itemsize
-    size = max(1, _BATCH_BYTES // per_run)
+    size = max(1, _BATCH_BYTES // _run_bytes(cfg))
     records = []
     for start in range(0, len(keys), size):
         batch = keys[start:start + size]

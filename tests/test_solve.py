@@ -176,7 +176,7 @@ def test_run_trials_batches_split_without_changing_records(monkeypatch):
     opts = SolverOptions(max_iters=200, trials=3, restarts=2, seed=4)
     whole = run_trials(cfg, opts)
     # three runs per batch: trial 1's restarts fall into different batches
-    monkeypatch.setattr(solve, "_BATCH_BYTES", 3 * 2 * 3 ** 2 * 2 ** 2 * 16)
+    monkeypatch.setattr(solve, "_BATCH_BYTES", 3 * solve._run_bytes(cfg))
     for a, b in zip(whole, run_trials(cfg, opts), strict=True):
         assert (a.trial, a.restart, a.iters, a.stop_reason, a.trajectory) == \
             (b.trial, b.restart, b.iters, b.stop_reason, b.trajectory)
