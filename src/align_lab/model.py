@@ -475,9 +475,7 @@ def _matrix_to_json(h: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
-    h = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    h.flags.writeable = False
-    return h
+    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
 def channels_to_json(ch: ChannelSet) -> list:

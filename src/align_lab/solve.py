@@ -8,9 +8,12 @@ transposed). Both half-steps minimize the same total leakage, so the
 trajectory never increases. Each half-step updates all users of all runs at
 once: one stacked product with the zero-padded channel stack of every run,
 one matmul for all interference covariances, and one batched ``eigh`` per
-distinct N_k. A run that stops drops out of the stacks; the others sweep on
-exactly as they would alone. The classifier solves all its channel draws and
-restarts together, then buckets the outcome; absence of success is weak
+distinct N_k. The iterates are orthonormal bases whose column phases are
+whatever ``eigh`` returns; the covariance sum_j H V_j V_j^H H^H, hence both
+half-steps and the leakage, depends only on the spanned subspaces. A run
+that stops drops out of the stacks; the others sweep on exactly as they
+would alone. The classifier solves all its channel draws and restarts
+together, then buckets the outcome; absence of success is weak
 evidence (local minima exist), so the thresholds are deliberately asymmetric
 and a known explicit witness overrides solver failure.
 """
@@ -129,28 +132,6 @@ def _stack(mats, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _fix_phase(x: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry above 1e-12 in modulus is real positive.
-
-    ``x`` is a (..., n, w) stack; columns with no such entry, such as the zero
-    padding of a stack, are left as they are. Row 0 is the pivot wherever it
-    is above the cutoff; only the other columns search for their first entry.
-    """
-    pivot = x[..., 0, :]
-    # np.hypot rounds as abs() of a complex scalar does; np.abs of an array may not
-    mod = np.hypot(pivot.real, pivot.imag)
-    rest = ~(mod > 1e-12)
-    if rest.any():
-        cols = x.swapaxes(-1, -2)[rest]
-        above = np.hypot(cols.real, cols.imag) > 1e-12
-        at = (np.arange(len(cols)), above.argmax(axis=1))
-        # argmax gives row 0 in a column without such an entry; do not rotate it
-        pivot = pivot.copy()
-        pivot[rest] = np.where(above[at], cols[at], 1.0)
-        mod = np.hypot(pivot.real, pivot.imag)
-    return x * (pivot.conj() / mod)[..., None, :]
-
-
 def _cross_stack(ch: ChannelSet) -> np.ndarray:
     """Zero-padded (K, K, N_max, N_max) stack of the cross channels, direct pairs zero."""
     n = max(ch.N)
@@ -170,9 +151,9 @@ def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
     The interference covariance at receiver k of run r is G G^H, where G lines
     up the images h[r, k, j] @ x[r, j] over all j. Its least-dominant
     eigenvectors, one batched ``eigh`` per distinct N_k in ``groups``, fill
-    the first d_k columns of receiver k; ``keep`` (K, d_max) zeroes the rest.
-    Returns the new receive bases and the (R, K, K, N_max, d_max) stack of
-    images.
+    the first d_k columns of receiver k, with the column phases ``eigh``
+    gives; ``keep`` (K, d_max) zeroes the rest. Returns the new receive
+    bases and the (R, K, K, N_max, d_max) stack of images.
     """
     R, K, n, w = x.shape
     hx = h @ x[:, None]
@@ -186,7 +167,7 @@ def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
             cols = min(n_k, w)
             out[:, users, :n_k, :cols] = \
                 np.linalg.eigh(q[:, users, :n_k, :n_k])[1][..., :cols]
-    return _fix_phase(out * keep[:, None, :]), hx
+    return out * keep[:, None, :], hx
 
 
 def _stop_reason(trajectory: list[float], opts: SolverOptions) -> str | None:
@@ -272,7 +253,7 @@ def minimize_leakage(ch: ChannelSet, d: tuple[int, ...], opts: SolverOptions,
     letting stalled runs burn the iteration budget. This is the one-run call
     of ``_minimize_runs``, the solver ``run_trials`` batches. All iterates
     have orthonormal columns, making the internal metric identical to the
-    verifier's.
+    verifier's; only their subspaces are meaningful, not their column phases.
     """
     if rng is None:
         rng = substream(0, _RESTART_SALT, 0, 0)

@@ -91,7 +91,10 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     subspaces, zero exactly when every cross product vanishes. Raises
     RankDeficient when a precoder or decoder does not span a d_k-dimensional
     subspace, since the metric is then not about the intended subspace at all.
+    Raises ValueError unless ``tol_align`` is positive.
     """
+    if not tol_align > 0:
+        raise ValueError(f"tol_align must be positive, got {tol_align}")
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
     leak = worst = 0.0
@@ -107,26 +110,27 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
                               rank_ok=rank_ok, tol_align=tol_align)
 
 
-def _gauge_one(mat: np.ndarray, what: str, user: int, cond_max: float) -> np.ndarray:
+def _gauge_one(mat: np.ndarray, what: str, user: int) -> np.ndarray:
     d = mat.shape[1]
     top = mat[:d, :]
     s = np.linalg.svd(top, compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0 or s[0] / s[-1] > cond_max:
+    if s.size == 0 or s[-1] == 0.0 or s[0] / s[-1] > GAUGE_COND_MAX:
         cond = float("inf") if s.size == 0 or s[-1] == 0.0 else float(s[0] / s[-1])
         raise SingularGaugeBlock(f"user {user} {what}: top {d}x{d} block has "
-                                 f"condition {cond:.3g} (limit {cond_max:.3g})")
+                                 f"condition {cond:.3g} (limit {GAUGE_COND_MAX:.3g})")
     return mat @ np.linalg.inv(top)
 
 
-def normalize_gauge(sol: IaSolution, cond_max: float = GAUGE_COND_MAX) -> IaSolution:
+def normalize_gauge(sol: IaSolution) -> IaSolution:
     """Equivalent solution whose first d_k rows of each U^[k], V^[k] are identity.
 
     Right-multiplying a precoder or decoder by any invertible d_k x d_k
     matrix preserves the spanned subspaces, hence the leakage; this picks the
-    unique representative with an identity top block.
+    unique representative with an identity top block. Raises
+    SingularGaugeBlock when a top block's condition exceeds GAUGE_COND_MAX.
     """
-    vs = tuple(_gauge_one(v, "precoder", k, cond_max) for k, v in enumerate(sol.V))
-    us = tuple(_gauge_one(u, "decoder", k, cond_max) for k, u in enumerate(sol.U))
+    vs = tuple(_gauge_one(v, "precoder", k) for k, v in enumerate(sol.V))
+    us = tuple(_gauge_one(u, "decoder", k) for k, u in enumerate(sol.U))
     return IaSolution(V=vs, U=us)
 
 

@@ -202,6 +202,22 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, flag, doc, what):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["cj3", "verify"])
+def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command, tol):
+    if command == "cj3":
+        args = ["cj3", "--n", "1"]
+    else:
+        paths = write_witness_with_stray_entry(tmp_path)
+        args = ["verify", "--config", str(paths["config"]),
+                "--channels", str(paths["channels"]), "--solution", str(paths["solution"])]
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert main(args + ["--tol", tol, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: tol_align must be positive, got {float(tol)}\n"
+    assert not out.exists()
+
+
 def test_verify_reports_misalignment_without_failing(tmp_path):
     cfg = generic_config(2, 2, 1, seed=6)
     cfg_path = write_config(tmp_path, cfg)

@@ -22,7 +22,6 @@ from align_lab.solve import (
     _RESTART_SALT,
     Classification,
     SolverOptions,
-    _fix_phase,
     _stop_reason,
     _trial_channel_seed,
     classify,
@@ -36,7 +35,11 @@ from align_lab.verify import check
 
 
 def _fix_phase_loop(vectors):
-    """Reference: the per-column phase fix the batched solver replaced."""
+    """Reference: rotate each column so its first entry above 1e-12 is real positive.
+
+    The batched solver keeps the phases ``eigh`` returns; the reference fixes
+    them, so agreement shows that the phases do not matter.
+    """
     out = vectors.copy()
     for c in range(out.shape[1]):
         col = out[:, c]
@@ -81,46 +84,16 @@ def _loop_trajectory(ch, d, opts, rng):
     return traj
 
 
-def test_fix_phase_matches_the_per_column_loop():
-    x = complex_normal(substream(11, 3), 4, 6, 3)
-    x[0, :, 1] = 0.0                    # zero padding of a stack
-    x[1, :2, 0] = 1e-13                 # leading entries below the pivot cutoff
-    x[2, :4, 2] = [1e-12, -1e-13j, 0.0, 1e-12 + 1e-12j]
-    x[3, :, 2] = 1e-13                  # no entry above the cutoff
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = _fix_phase(x)
-    for k in range(x.shape[0]):
-        np.testing.assert_array_equal(out[k], _fix_phase_loop(x[k]))
-    np.testing.assert_array_equal(out[0, :, 1], 0.0)
-    np.testing.assert_array_equal(out[3, :, 2], x[3, :, 2])
-    # 1e-12 itself is not above the cutoff: the pivot is row 3
-    assert abs(out[2, 3, 2].imag) < 1e-15 * out[2, 3, 2].real
-
-    # row 0 above the cutoff in every column takes the fast path alone;
-    # beside zero padding and a column that searches further, it takes both
-    x = complex_normal(substream(12, 3), 3, 5, 4)
-    x[:, 0] += 1e-11 * np.sign(x[:, 0].real)
-    mixed = x.copy()
-    mixed[1, :, 2:] = 0.0
-    mixed[2, 0, 1] = 1e-13
-    for stack in (x, mixed):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = _fix_phase(stack)
-        for k in range(stack.shape[0]):
-            np.testing.assert_array_equal(out[k], _fix_phase_loop(stack[k]))
-    np.testing.assert_array_equal(out[1, :, 2:], 0.0)
-
-
 @pytest.mark.parametrize("cfg", [
     generic_config(3, 2, 1, seed=1),
     diagonal_config(3, 7, (4, 3, 3), seed=1),
     block_diagonal_config(3, 2, 2, 2, seed=1),
     generic_config(3, (2, 3, 4), (1, 1, 2), seed=1),
     generic_config(3, (2, 3, 4), (1, 3, 2), seed=1),   # N_0 < d_max
+    generic_config(5, 2, 1, seed=1),
+    generic_config(4, 5, 2, seed=1),
 ], ids=["generic-3-2-1", "diagonal-7-433", "block-diagonal-2-2-2", "generic-234-112",
-        "generic-234-132"])
+        "generic-234-132", "generic-5-2-1", "generic-4-5-2"])
 def test_batched_solver_matches_the_loop_solver(cfg):
     ch = sample_channels(cfg)
     opts = SolverOptions(max_iters=300)
