@@ -14,7 +14,7 @@ from .errors import (AlignLabError, DegenerateSpan, DimensionMismatch, InvalidSp
                      StreamOverflow)
 from .model import (ChannelSet, ChannelStructure, IaSolution, StructureKind,
                     SystemConfig, block_diagonal_config, diagonal_config,
-                    generic_config, sample_channels, validate_config)
+                    generic_config, sample_channels)
 from .probe import ProbeReport, assemble_channels, run_probe
 from .solve import (Classification, FeasibilityVerdict, SolverOptions, classify,
                     minimize_leakage)
@@ -33,6 +33,6 @@ __all__ = [
     "construct", "diagonal_config", "equation_count", "exceeds_tdma",
     "generic_config", "improper_by_threshold", "is_proper",
     "min_improper_n", "minimize_leakage", "normalize_gauge", "run_probe",
-    "sample_channels", "symmetric_bound", "tdma_baseline", "validate_config",
+    "sample_channels", "symmetric_bound", "tdma_baseline",
     "variable_count", "__version__",
 ]

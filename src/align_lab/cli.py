@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,9 +25,9 @@ from .counting import (bound_sweep_rows, cj_config, cj_parameters,
 from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficient,
                      SingularChannel, SingularGaugeBlock, StreamOverflow)
 from .model import (ChannelSet, SystemConfig, channels_from_json, channels_to_json,
-                    config_from_json, config_to_json, diagonal_config,
+                    config_from_json, config_to_json, cross_pairs, diagonal_config,
                     pair_support, sample_channels, solution_from_json,
-                    solution_to_json, with_seed)
+                    solution_to_json)
 from .solve import SolverOptions, classify, run_record_row, verdict_to_json
 from .verify import TOL_ALIGN, check, result_to_json
 
@@ -55,7 +56,7 @@ def _load_json(path: Path):
 
 def _load_config(path: Path, seed: int | None) -> SystemConfig:
     cfg = config_from_json(_load_json(path))
-    return with_seed(cfg, seed) if seed is not None else cfg
+    return replace(cfg, seed=seed) if seed is not None else cfg
 
 
 def _load_channels(args: argparse.Namespace, cfg: SystemConfig) -> ChannelSet:
@@ -174,6 +175,10 @@ def cmd_verify(args: argparse.Namespace):
     cfg = _load_config(args.config, args.seed)
     ch = _load_channels(args, cfg)
     sol = solution_from_json(_load_json(args.solution))
+    for k, (got, want) in enumerate(zip(sol.d, cfg.d)):
+        if got != want:
+            raise DimensionMismatch(f"user {k}: the solution has {got} streams, "
+                                    f"the config names d_k={want}")
     res = check(ch, sol, tol_align=args.tol)
     payload = {"config": config_to_json(cfg), "result": result_to_json(res)}
     row = {"leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
@@ -219,27 +224,24 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
         "# unknowns: u_j_t_m = conj(U[j][t,m]) for t >= d_j, "
         "v_k_r_n = V[k][r,n] for r >= d_k; first d rows are identity",
     ]
-    for j in range(cfg.K):
-        for k in range(cfg.K):
-            if j == k:
-                continue
-            rows, cols = pair_support(cfg, j, k)
-            coeffs = ch.free[j][k]
-            text = [_fmt_coeff(z) for z in coeffs.tolist()]
-            u_free, v_free = rows >= cfg.d[j], cols >= cfg.d[k]
-            for m in range(cfg.d[j]):
-                # a gauge row t < d_j is the identity: it enters equation m = t only
-                in_m = (coeffs != 0) & (u_free | (rows == m))
-                for n in range(cfg.d[k]):
-                    terms = []
-                    for i in np.flatnonzero(in_m & (v_free | (cols == n))).tolist():
-                        factors = [text[i]]
-                        if u_free[i]:
-                            factors.append(f"u_{j}_{rows[i]}_{m}")
-                        if v_free[i]:
-                            factors.append(f"v_{k}_{cols[i]}_{n}")
-                        terms.append("*".join(factors))
-                    lines.append(" + ".join(terms) if terms else "(0.0,0.0)")
+    for j, k in cross_pairs(cfg.K):
+        rows, cols = pair_support(cfg, j, k)
+        coeffs = ch.free[j][k]
+        text = [_fmt_coeff(z) for z in coeffs.tolist()]
+        u_free, v_free = rows >= cfg.d[j], cols >= cfg.d[k]
+        for m in range(cfg.d[j]):
+            # a gauge row t < d_j is the identity: it enters equation m = t only
+            in_m = (coeffs != 0) & (u_free | (rows == m))
+            for n in range(cfg.d[k]):
+                terms = []
+                for i in np.flatnonzero(in_m & (v_free | (cols == n))).tolist():
+                    factors = [text[i]]
+                    if u_free[i]:
+                        factors.append(f"u_{j}_{rows[i]}_{m}")
+                    if v_free[i]:
+                        factors.append(f"v_{k}_{cols[i]}_{n}")
+                    terms.append("*".join(factors))
+                lines.append(" + ".join(terms) if terms else "(0.0,0.0)")
     return "\n".join(lines) + "\n"
 
 

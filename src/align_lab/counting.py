@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import StructureKind, SystemConfig, diagonal_config, validate_config
+from .model import SystemConfig, _blocks, diagonal_config
 
 __all__ = [
     "CjParameters",
@@ -88,7 +88,6 @@ def variable_count(cfg: SystemConfig) -> int:
     Each user contributes d_k*(N_k - d_k) free entries in its precoder and the
     same in its decoder once the gauge is fixed to identity top blocks.
     """
-    validate_config(cfg)
     return 2 * sum(nk * dk - dk * dk for nk, dk in zip(cfg.N, cfg.d))
 
 
@@ -173,17 +172,12 @@ def dim_channel_space(cfg: SystemConfig) -> int:
     """Dimension of the space of structured cross channels (closed form).
 
     Counts the free entries of all H[j][k], j != k; direct channels never
-    enter the alignment equations. Generic: sum N_j*N_k; diagonal:
-    K(K-1)*N_s; block-diagonal: sum N_c*M_j*M_k, all over ordered pairs
-    j != k.
+    enter the alignment equations. With H[j][k] made of N_c blocks of
+    M_j x M_k, that is sum N_c*M_j*M_k over ordered pairs j != k: sum
+    N_j*N_k for generic channels, K(K-1)*N_s for diagonal ones.
     """
-    validate_config(cfg)
-    kind = cfg.structure.kind
-    if kind is StructureKind.DIAGONAL:
-        return cfg.K * (cfg.K - 1) * cfg.n_s
-    sizes = cfg.N if kind is StructureKind.GENERIC else cfg.M
-    n_c = cfg.structure.subcarriers or 1
-    return n_c * (sum(sizes) ** 2 - sum(m * m for m in sizes))
+    n_c, m = _blocks(cfg)
+    return n_c * (sum(m) ** 2 - sum(x * x for x in m))
 
 
 def sparse_dim_deficit(cfg: SystemConfig) -> int:

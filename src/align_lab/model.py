@@ -1,12 +1,12 @@
 """Domain types for interference-alignment instances and seeded channel generation.
 
 A K-user instance consists of channel matrices H[j][k] (receiver j, transmitter
-k) of size N_j x N_k over the complex field. Three sparsity structures are
-supported:
+k) of size N_j x N_k over the complex field. Every structure is N_c blocks of
+M_j x M_k on the diagonal:
 
-* generic: every entry is free (plain MIMO),
+* generic: every entry is free (plain MIMO), one block (N_c = 1, M = N),
 * diagonal: symbol extension over time slots or OFDM subcarriers, one shared
-  signal dimension N_s, interference only within a slot,
+  signal dimension N_s, interference only within a slot (N_c = N_s, M = 1),
 * block-diagonal: MIMO plus subcarrier extension, N_c blocks of M_j x M_k.
 
 Free entries are drawn i.i.d. from the circularly-symmetric complex standard
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -32,9 +33,9 @@ __all__ = [
     "SystemConfig",
     "ChannelSet",
     "IaSolution",
-    "validate_config",
     "sample_channels",
     "pair_support",
+    "cross_pairs",
     "substream",
     "complex_normal",
     "generic_config",
@@ -57,6 +58,13 @@ class StructureKind(str, enum.Enum):
     BLOCK_DIAGONAL = "block-diagonal"
 
 
+def _int(name: str, x) -> int:
+    """``x`` as an int; InvalidSpec, naming ``name``, for a float, bool or other non-integer."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise InvalidSpec(f"{name} must be an integer, got {x!r}")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class ChannelStructure:
     """Sparsity pattern of the channel matrices.
@@ -70,15 +78,19 @@ class ChannelStructure:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", StructureKind(self.kind))
+        if self.subcarriers is not None:
+            object.__setattr__(self, "subcarriers", _int("N_c", self.subcarriers))
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Parameters of one K-user instance.
+    """Parameters of one K-user instance, valid once built.
 
     N[k] is the signal-space dimension of user k, d[k] its stream count, and
     M[k] its antenna count (block-diagonal structures only, where
-    N[k] = M[k] * N_c). ``seed`` keys all channel randomness.
+    N[k] = M[k] * N_c). ``seed`` keys all channel randomness. Construction (and
+    ``dataclasses.replace``) coerces every count to int and raises, naming it,
+    if an invariant is violated.
     """
 
     K: int
@@ -89,10 +101,55 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", tuple(int(x) for x in self.N))
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        if self.M is not None:
-            object.__setattr__(self, "M", tuple(int(x) for x in self.M))
+        object.__setattr__(self, "K", _int("K", self.K))
+        for name in ("N", "d", "M"):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, tuple(_int(f"{name}[{i}]", x)
+                                                     for i, x in enumerate(values)))
+        object.__setattr__(self, "seed", _int("seed", self.seed))
+
+        if self.K < 2:
+            raise DimensionMismatch(f"user count must be at least 2, got K={self.K}")
+        if len(self.N) != self.K:
+            raise DimensionMismatch(f"N has {len(self.N)} entries for K={self.K} users")
+        if len(self.d) != self.K:
+            raise DimensionMismatch(f"d has {len(self.d)} entries for K={self.K} users")
+        if any(n < 1 for n in self.N):
+            raise DimensionMismatch(f"signal dimensions must be positive, got N={self.N}")
+        if any(dk < 1 for dk in self.d):
+            raise DimensionMismatch(f"stream counts must be positive, got d={self.d}")
+        for k, (nk, dk) in enumerate(zip(self.N, self.d)):
+            if dk > nk:
+                raise StreamOverflow(f"user {k}: d_k={dk} exceeds signal dimension N_k={nk}")
+        if not 0 <= self.seed < _MAX_SEED:
+            raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+
+        kind = self.structure.kind
+        if kind is StructureKind.BLOCK_DIAGONAL:
+            n_c = self.structure.subcarriers
+            if n_c is None or n_c < 1:
+                raise DimensionMismatch(
+                    "block-diagonal structure requires a positive subcarrier count")
+            if self.M is None or len(self.M) != self.K:
+                raise DimensionMismatch(
+                    "block-diagonal structure requires per-user antenna counts M")
+            if any(m < 1 for m in self.M):
+                raise DimensionMismatch(f"antenna counts must be positive, got M={self.M}")
+            for k, (nk, mk) in enumerate(zip(self.N, self.M)):
+                if nk != mk * n_c:
+                    raise DimensionMismatch(
+                        f"user {k}: N_k={nk} is not M_k*N_c={mk}*{n_c}={mk * n_c}")
+        else:
+            if self.structure.subcarriers is not None:
+                raise DimensionMismatch(f"subcarrier count is only meaningful for "
+                                        f"block-diagonal structures, got kind={kind.value}")
+            if self.M is not None:
+                raise DimensionMismatch("antenna counts M are only meaningful for "
+                                        "block-diagonal structures")
+            if kind is StructureKind.DIAGONAL and len(set(self.N)) != 1:
+                raise DimensionMismatch(
+                    f"diagonal structure requires a common signal dimension, got N={self.N}")
 
     @property
     def n_s(self) -> int:
@@ -128,81 +185,48 @@ def block_diagonal_config(K: int, M: Sequence[int] | int, n_c: int,
                         seed=seed)
 
 
-def validate_config(cfg: SystemConfig) -> None:
-    """Raise if any invariant of ``cfg`` is violated; the message names it."""
-    if cfg.K < 2:
-        raise DimensionMismatch(f"user count must be at least 2, got K={cfg.K}")
-    if len(cfg.N) != cfg.K:
-        raise DimensionMismatch(f"N has {len(cfg.N)} entries for K={cfg.K} users")
-    if len(cfg.d) != cfg.K:
-        raise DimensionMismatch(f"d has {len(cfg.d)} entries for K={cfg.K} users")
-    if any(n < 1 for n in cfg.N):
-        raise DimensionMismatch(f"signal dimensions must be positive, got N={cfg.N}")
-    if any(dk < 1 for dk in cfg.d):
-        raise DimensionMismatch(f"stream counts must be positive, got d={cfg.d}")
-    for k, (nk, dk) in enumerate(zip(cfg.N, cfg.d)):
-        if dk > nk:
-            raise StreamOverflow(f"user {k}: d_k={dk} exceeds signal dimension N_k={nk}")
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < _MAX_SEED:
-        raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {cfg.seed!r}")
-
-    kind = cfg.structure.kind
-    if kind is StructureKind.BLOCK_DIAGONAL:
-        n_c = cfg.structure.subcarriers
-        if n_c is None or n_c < 1:
-            raise DimensionMismatch("block-diagonal structure requires a positive subcarrier count")
-        if cfg.M is None or len(cfg.M) != cfg.K:
-            raise DimensionMismatch("block-diagonal structure requires per-user antenna counts M")
-        if any(m < 1 for m in cfg.M):
-            raise DimensionMismatch(f"antenna counts must be positive, got M={cfg.M}")
-        for k, (nk, mk) in enumerate(zip(cfg.N, cfg.M)):
-            if nk != mk * n_c:
-                raise DimensionMismatch(
-                    f"user {k}: N_k={nk} is not M_k*N_c={mk}*{n_c}={mk * n_c}")
-    else:
-        if cfg.structure.subcarriers is not None:
-            raise DimensionMismatch(f"subcarrier count is only meaningful for "
-                                    f"block-diagonal structures, got kind={kind.value}")
-        if cfg.M is not None:
-            raise DimensionMismatch("antenna counts M are only meaningful for "
-                                    "block-diagonal structures")
-        if kind is StructureKind.DIAGONAL and len(set(cfg.N)) != 1:
-            raise DimensionMismatch(
-                f"diagonal structure requires a common signal dimension, got N={cfg.N}")
-
-
 # ---------------------------------------------------------------------------
 # free-entry layout
+
+def _blocks(shape: SystemConfig | ChannelSet) -> tuple[int, tuple[int, ...]]:
+    """Block layout (N_c, M) of ``shape``: H[j][k] is N_c diagonal blocks of M_j x M_k.
+
+    The one place a structure kind picks a layout.
+    """
+    kind = shape.structure.kind
+    if kind is StructureKind.GENERIC:
+        return 1, shape.N
+    if kind is StructureKind.DIAGONAL:
+        return shape.N[0], (1,) * len(shape.N)
+    return shape.structure.subcarriers, shape.M
+
 
 def pair_support(cfg: SystemConfig | ChannelSet, j: int, k: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the free entries of H[j][k], in canonical order.
 
     ``cfg`` is a config or a channel set; only its N, structure and M are read.
-    Generic: all N_j x N_k entries, row-major. Diagonal: the N_s diagonal
-    entries. Block-diagonal: the N_c blocks of M_j x M_k on the diagonal,
-    block by block, row-major within a block. Stacking the cross pairs
-    (j, k), j != k, in lexicographic order gives the canonical layout of the
-    free cross-channel vector.
+    The entries of the N_c blocks of M_j x M_k on the diagonal, block by
+    block, row-major within a block: all N_j x N_k entries row-major for a
+    generic structure, the N_s diagonal entries for a diagonal one. Stacking
+    the ``cross_pairs`` in order gives the canonical layout of the free
+    cross-channel vector.
     """
-    kind = cfg.structure.kind
-    if kind is StructureKind.GENERIC:
-        return np.divmod(np.arange(cfg.N[j] * cfg.N[k]), cfg.N[k])
-    if kind is StructureKind.DIAGONAL:
-        return np.arange(cfg.N[j]), np.arange(cfg.N[k])
-    m_j, m_k = cfg.M[j], cfg.M[k]
-    b, p, q = np.indices((cfg.structure.subcarriers, m_j, m_k)).reshape(3, -1)
-    return b * m_j + p, b * m_k + q
+    n_c, m = _blocks(cfg)
+    # entry (p, q) of block b sits at row b*M_j + p, column b*M_k + q
+    return (np.arange(n_c * m[j]).repeat(m[k]),
+            np.arange(n_c * m[k]).reshape(n_c, m[k]).repeat(m[j], axis=0).ravel())
 
 
 def _pair_size(cfg: SystemConfig | ChannelSet, j: int, k: int) -> int:
     """Number of free entries of H[j][k]: the length of ``pair_support``'s arrays."""
-    kind = cfg.structure.kind
-    if kind is StructureKind.GENERIC:
-        return cfg.N[j] * cfg.N[k]
-    if kind is StructureKind.DIAGONAL:
-        return cfg.N[j]
-    return cfg.structure.subcarriers * cfg.M[j] * cfg.M[k]
+    n_c, m = _blocks(cfg)
+    return n_c * m[j] * m[k]
+
+
+def cross_pairs(K: int) -> Iterator[tuple[int, int]]:
+    """Ordered pairs (j, k), j != k, of K users in lexicographic order."""
+    return ((j, k) for j in range(K) for k in range(K) if j != k)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +331,6 @@ class ChannelSet:
         ``cfg``'s, and, naming the pair and the entry, when an entry that
         ``cfg``'s structure confines to zero is nonzero.
         """
-        validate_config(cfg)
         _check_rows(matrices, cfg.K)
         free = []
         for j, row in enumerate(matrices):
@@ -345,36 +368,24 @@ class ChannelSet:
         return tuple(_DenseRow(self, j) for j in range(self.K))
 
     def _dense(self, j: int, k: int) -> np.ndarray:
-        v = self.free[j][k]
-        if self.structure.kind is StructureKind.GENERIC:
-            return v.reshape(self.N[j], self.N[k])
         h = np.zeros((self.N[j], self.N[k]), dtype=complex)
-        h[pair_support(self, j, k)] = v
+        h[pair_support(self, j, k)] = self.free[j][k]
         h.flags.writeable = False
         return h
 
     def apply(self, j: int, k: int, x: np.ndarray) -> np.ndarray:
         """H[j][k] @ x for an N_k x c array ``x``, from the free entries alone.
 
-        Generic: one matmul. Diagonal: an elementwise product. Block-diagonal:
-        one batched matmul over the N_c subcarrier blocks.
+        One batched matmul over the N_c blocks; an elementwise product when
+        both blocks are 1 x 1.
         """
         v = self.free[j][k]
-        kind = self.structure.kind
-        if kind is StructureKind.GENERIC:
-            return v.reshape(self.N[j], self.N[k]) @ x
-        if kind is StructureKind.DIAGONAL:
+        n_c, m = _blocks(self)
+        if m[j] == m[k] == 1:
             return v[:, None] * x
-        n_c, c = self.structure.subcarriers, x.shape[1]
-        blocks = v.reshape(n_c, self.M[j], self.M[k]) @ x.reshape(n_c, self.M[k], c)
+        c = x.shape[1]
+        blocks = v.reshape(n_c, m[j], m[k]) @ x.reshape(n_c, m[k], c)
         return blocks.reshape(self.N[j], c)
-
-    def cross_pairs(self) -> Iterator[tuple[int, int]]:
-        """Ordered pairs (j, k), j != k, in lexicographic order."""
-        for j in range(self.K):
-            for k in range(self.K):
-                if j != k:
-                    yield j, k
 
 
 def sample_channels(cfg: SystemConfig) -> ChannelSet:
@@ -385,7 +396,6 @@ def sample_channels(cfg: SystemConfig) -> ChannelSet:
     entries are exactly zero. The same config (seed included) always yields
     a bit-identical channel set.
     """
-    validate_config(cfg)
     free = []
     for j in range(cfg.K):
         row = []
@@ -399,7 +409,7 @@ def sample_channels(cfg: SystemConfig) -> ChannelSet:
 
 @dataclass(frozen=True, eq=False)
 class IaSolution:
-    """Per-user precoders V[k] and decoders U[k], each N_k x d_k."""
+    """Per-user precoders V[k] and decoders U[k], each N_k x d_k and finite."""
 
     V: tuple[np.ndarray, ...]
     U: tuple[np.ndarray, ...]
@@ -417,6 +427,9 @@ class IaSolution:
             if v.shape[1] < 1 or v.shape[1] > v.shape[0]:
                 raise DimensionMismatch(
                     f"user {k}: {v.shape[1]} streams do not fit in dimension {v.shape[0]}")
+            for name, mat in (("precoder", v), ("decoder", u)):
+                if not np.isfinite(mat).all():
+                    raise DimensionMismatch(f"user {k}: {name} contains non-finite entries")
             v.flags.writeable = False
             u.flags.writeable = False
             vs.append(v)
@@ -456,18 +469,14 @@ def config_to_json(cfg: SystemConfig) -> dict:
 
 
 def config_from_json(doc: dict) -> SystemConfig:
-    """Parse and validate a config document."""
+    """Parse and validate a config document; a float or bool count raises InvalidSpec."""
     try:
-        structure = ChannelStructure(kind=StructureKind(doc["structure"]["kind"]),
+        structure = ChannelStructure(kind=doc["structure"]["kind"],
                                      subcarriers=doc["structure"].get("N_c"))
-        cfg = SystemConfig(K=int(doc["K"]), N=tuple(doc["N"]), d=tuple(doc["d"]),
-                           structure=structure,
-                           M=tuple(doc["M"]) if doc.get("M") is not None else None,
-                           seed=int(doc.get("seed", 0)))
+        return SystemConfig(K=doc["K"], N=doc["N"], d=doc["d"], structure=structure,
+                            M=doc.get("M"), seed=doc.get("seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed config document: {exc}") from exc
-    validate_config(cfg)
-    return cfg
 
 
 def _matrix_to_json(h: np.ndarray) -> list:
@@ -508,8 +517,3 @@ def solution_from_json(doc: dict) -> IaSolution:
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed solution document: {exc}") from exc
     return IaSolution(V=vs, U=us)
-
-
-def with_seed(cfg: SystemConfig, seed: int) -> SystemConfig:
-    """Copy of ``cfg`` with a different channel seed."""
-    return replace(cfg, seed=seed)

@@ -20,7 +20,7 @@ import numpy as np
 from .counting import dim_channel_space
 from .errors import DimensionMismatch
 from .model import (ChannelSet, IaSolution, SystemConfig, _pair_size, complex_normal,
-                    pair_support, substream, validate_config)
+                    cross_pairs, pair_support, substream)
 from .subspaces import nullspace_basis, numerical_rank, orthonormal_columns
 
 __all__ = [
@@ -74,11 +74,6 @@ def draw_random_solution(cfg: SystemConfig, rng: np.random.Generator) -> IaSolut
     return IaSolution(V=vs, U=us)
 
 
-def _cross_supports(cfg: SystemConfig) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    return [(j, k, *pair_support(cfg, j, k))
-            for j in range(cfg.K) for k in range(cfg.K) if j != k]
-
-
 def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     """Draw (U, V) pairs, collect aligned-channel nullspaces, measure their span.
 
@@ -90,10 +85,9 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     Deterministic given (cfg, draws, seed): draw i uses its own substream, and
     accumulation is a sequential reduction over draw index.
     """
-    validate_config(cfg)
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
-    supports = _cross_supports(cfg)
+    supports = [(j, k, *pair_support(cfg, j, k)) for j, k in cross_pairs(cfg.K)]
     spans = [np.zeros((rows.size, 0), dtype=complex) for _, _, rows, _ in supports]
     nullities = []
     for i in range(draws):
@@ -125,7 +119,6 @@ def assemble_channels(cfg: SystemConfig, h: np.ndarray) -> ChannelSet:
     Direct channels, which never appear in the cross equations, are set to
     zero.
     """
-    validate_config(cfg)
     h = np.asarray(h, dtype=complex).reshape(-1)
     expected = dim_channel_space(cfg)
     if h.shape[0] != expected:

@@ -23,15 +23,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cj3
 from .errors import DegenerateSpan, DimensionMismatch, RankDeficient, SingularChannel
 from .model import (ChannelSet, IaSolution, StructureKind, SystemConfig,
-                    complex_normal, config_to_json, pair_support, sample_channels,
-                    substream, with_seed)
+                    complex_normal, config_to_json, cross_pairs, pair_support,
+                    sample_channels, substream)
 from .verify import _cross_leakage, check
 
 __all__ = [
@@ -132,12 +132,14 @@ def _stack(mats, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _cross_stack(ch: ChannelSet) -> np.ndarray:
-    """Zero-padded (K, K, N_max, N_max) stack of the cross channels, direct pairs zero."""
-    n = max(ch.N)
-    h = np.zeros((ch.K, ch.K, n, n), dtype=complex)
-    for j, k in ch.cross_pairs():
-        h[j, k][pair_support(ch, j, k)] = ch.free[j][k]
+def _cross_stack(chs: list[ChannelSet]) -> np.ndarray:
+    """Zero-padded (R, K, K, N_max, N_max) stack of the cross channels of R
+    channel sets of one shape, direct pairs zero."""
+    K, n = chs[0].K, max(chs[0].N)
+    h = np.zeros((len(chs), K, K, n, n), dtype=complex)
+    for j, k in cross_pairs(K):
+        rows, cols = pair_support(chs[0], j, k)
+        h[:, j, k, rows, cols] = [ch.free[j][k] for ch in chs]
     return h
 
 
@@ -210,7 +212,7 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
     n, w = max(N), max(d)
     vs = np.stack([_stack([np.linalg.qr(complex_normal(rng, n_k, d_k))[0]
                            for n_k, d_k in zip(N, d)], n, w) for rng in rngs])
-    h = np.stack([_cross_stack(ch) for ch in chs])
+    h = _cross_stack(chs)
     h_rec = np.ascontiguousarray(h.conj().transpose(0, 2, 1, 4, 3))
     keep = np.arange(w) < np.array(d)[:, None]
     sizes = np.array(N)
@@ -288,7 +290,7 @@ def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:
     records = []
     for start in range(0, len(keys), size):
         batch = keys[start:start + size]
-        chs = {t: sample_channels(with_seed(cfg, _trial_channel_seed(cfg, opts, t)))
+        chs = {t: sample_channels(replace(cfg, seed=_trial_channel_seed(cfg, opts, t)))
                for t in {t for t, _ in batch}}
         runs = _minimize_runs([chs[t] for t, _ in batch], cfg.d, opts,
                               [substream(opts.seed, _RESTART_SALT, t, s) for t, s in batch])

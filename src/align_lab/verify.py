@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, SingularGaugeBlock
-from .model import ChannelSet, IaSolution
+from .model import ChannelSet, IaSolution, cross_pairs
 from .subspaces import numerical_rank, orthonormal_columns
 
 __all__ = [
@@ -98,7 +98,7 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
     leak = worst = 0.0
-    for j, k in ch.cross_pairs():
+    for j, k in cross_pairs(ch.K):
         pair_leak, crosses = _cross_leakage(us[j], ch.apply(j, k, vs[k]))
         leak += pair_leak
         worst = max(worst, float(np.abs(crosses).max()))

@@ -309,9 +309,72 @@ def test_exit_code_for_malformed_config(tmp_path):
 
 
 def test_exit_code_for_overloaded_streams(tmp_path):
-    cfg_path = write_config(tmp_path, generic_config(2, 2, (3, 1), seed=0))
-    assert main(["solve", "--config", cfg_path, "--trials", "1",
+    # written by hand: a SystemConfig with d_k > N_k cannot be built
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"K": 2, "N": [2, 2], "d": [3, 1],
+                                    "structure": {"kind": "generic"}, "seed": 0}))
+    assert main(["solve", "--config", str(cfg_path), "--trials", "1",
                  "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("N", [2.9, 2, 2], "N[0] must be an integer, got 2.9"),
+    ("K", 3.7, "K must be an integer, got 3.7"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("N_c", 2.0, "N_c must be an integer, got 2.0"),
+    ("d", [True, 1, 1], "d[0] must be an integer, got True"),
+    ("seed", True, "seed must be an integer, got True"),
+], ids=["N-float", "K-float", "seed-float", "N_c-float", "d-bool", "seed-bool"])
+@pytest.mark.parametrize("command", ["solve", "probe"])
+def test_non_integer_config_numbers_exit_2(tmp_path, capsys, command, field, value, message):
+    doc = {"K": 3, "N": [2, 2, 2], "d": [1, 1, 1], "structure": {"kind": "generic"},
+           "seed": 0}
+    if field == "N_c":
+        doc.update(N=[4, 4, 4], M=[2, 2, 2],
+                   structure={"kind": "block-diagonal", "N_c": value})
+    else:
+        doc[field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    extra = ["--trials", "1", "--max-iters", "1"] if command == "solve" else ["--draws", "1"]
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    assert main([command, "--config", str(cfg_path), *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_rejects_a_solution_for_other_stream_counts(tmp_path, capsys):
+    solved = generic_config(3, 4, 1, seed=0)
+    sol, traj = minimize_leakage(sample_channels(solved), solved.d,
+                                 SolverOptions(max_iters=2000), rng=substream(0, 5))
+    assert traj[-1] < 1e-12
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(solution_to_json(sol)))
+    args = ["verify", "--solution", str(sol_path), "--out", str(tmp_path / "o.json")]
+    # the same channels (same seed), and the config the solution was solved for
+    assert main([*args, "--config", write_config(tmp_path, solved, "d1.json")]) == 0
+    capsys.readouterr()
+    named = write_config(tmp_path, generic_config(3, 4, 2, seed=0), "d2.json")
+    assert main([*args, "--config", named]) == 2
+    assert capsys.readouterr().err == \
+        "error: user 0: the solution has 1 streams, the config names d_k=2\n"
+
+
+@pytest.mark.parametrize("matrix, value", [("V", float("nan")), ("U", float("inf"))])
+def test_non_finite_solution_entries_exit_2(tmp_path, capsys, matrix, value):
+    paths = write_witness_with_stray_entry(tmp_path)
+    doc = json.loads(paths["solution"].read_text())
+    doc[matrix][1][0][0] = [value, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(paths["config"]), "--channels",
+                 str(paths["channels"]), "--solution", str(bad),
+                 "--out", str(tmp_path / "o.json")]) == 2
+    name = "precoder" if matrix == "V" else "decoder"
+    assert capsys.readouterr().err == \
+        f"error: user 1: {name} contains non-finite entries\n"
 
 
 def test_exit_code_for_missing_file(tmp_path):

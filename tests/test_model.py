@@ -1,5 +1,7 @@
 """Configuration, sampling, and serialization round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from align_lab.model import (
     complex_normal,
     config_from_json,
     config_to_json,
+    cross_pairs,
     diagonal_config,
     generic_config,
     pair_support,
@@ -25,8 +28,6 @@ from align_lab.model import (
     solution_from_json,
     solution_to_json,
     substream,
-    validate_config,
-    with_seed,
 )
 
 
@@ -56,25 +57,25 @@ def test_block_diagonal_factory_multiplies_blocks():
 
 def test_validate_rejects_streams_exceeding_dimension():
     with pytest.raises(StreamOverflow):
-        validate_config(generic_config(2, 2, (3, 1)))
+        generic_config(2, 2, (3, 1))
 
 
 def test_validate_rejects_length_mismatch():
     with pytest.raises(DimensionMismatch):
-        validate_config(SystemConfig(K=3, N=(2, 2), d=(1, 1, 1),
-                                     structure=generic_config(3, 2, 1).structure))
+        SystemConfig(K=3, N=(2, 2), d=(1, 1, 1),
+                     structure=generic_config(3, 2, 1).structure)
 
 
 def test_validate_rejects_nonpositive_users():
     with pytest.raises(DimensionMismatch):
-        validate_config(generic_config(0, 2, 1))
+        generic_config(0, 2, 1)
 
 
 def test_validate_rejects_seed_out_of_range():
     with pytest.raises(InvalidSpec):
-        validate_config(generic_config(2, 2, 1, seed=-1))
+        generic_config(2, 2, 1, seed=-1)
     with pytest.raises(InvalidSpec):
-        validate_config(generic_config(2, 2, 1, seed=2 ** 64))
+        generic_config(2, 2, 1, seed=2 ** 64)
 
 
 def test_n_s_property_requires_common_dimension():
@@ -163,6 +164,52 @@ def test_sampled_channels_conform_to_their_structure(cfg):
             assert np.all(h[~outside] != 0), (j, k)
 
 
+def per_kind_pair_support(cfg, j, k):
+    """The three per-kind formulas that the one block layout replaced."""
+    kind = cfg.structure.kind
+    if kind is StructureKind.GENERIC:
+        return np.divmod(np.arange(cfg.N[j] * cfg.N[k]), cfg.N[k])
+    if kind is StructureKind.DIAGONAL:
+        return np.arange(cfg.N[j]), np.arange(cfg.N[k])
+    b, p, q = np.indices((cfg.structure.subcarriers, cfg.M[j], cfg.M[k])).reshape(3, -1)
+    return b * cfg.M[j] + p, b * cfg.M[k] + q
+
+
+@pytest.mark.parametrize("cfg", [
+    generic_config(3, 3, 1),
+    generic_config(3, (2, 3, 4), (1, 1, 2)),
+    diagonal_config(4, 7, 1),
+    block_diagonal_config(3, 2, 3, 1),
+    block_diagonal_config(3, (1, 2, 3), 3, 1),
+], ids=["generic", "generic-234", "diagonal", "block-M2", "block-M123"])
+def test_pair_support_matches_the_per_kind_formulas(cfg):
+    for j in range(cfg.K):
+        for k in range(cfg.K):
+            got, want = pair_support(cfg, j, k), per_kind_pair_support(cfg, j, k)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(got, want)), (j, k)
+
+
+@pytest.mark.parametrize("as_blocks, plain", [
+    (block_diagonal_config(3, 1, 5, (2, 1, 1), seed=7),
+     diagonal_config(3, 5, (2, 1, 1), seed=7)),
+    (block_diagonal_config(4, 1, 3, 1, seed=2), diagonal_config(4, 3, 1, seed=2)),
+    (block_diagonal_config(3, 3, 1, 1, seed=7), generic_config(3, 3, 1, seed=7)),
+    (block_diagonal_config(3, (2, 3, 4), 1, (1, 1, 2), seed=7),
+     generic_config(3, (2, 3, 4), (1, 1, 2), seed=7)),
+], ids=["diagonal-5", "diagonal-K4", "generic-3", "generic-234"])
+def test_diagonal_and_generic_are_cases_of_block_diagonal(as_blocks, plain):
+    # M = 1 is a diagonal structure and N_c = 1 a generic one: same layout, same draws
+    assert dim_channel_space(as_blocks) == dim_channel_space(plain)
+    a, b = sample_channels(as_blocks), sample_channels(plain)
+    for j in range(plain.K):
+        for k in range(plain.K):
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(pair_support(as_blocks, j, k), pair_support(plain, j, k)))
+            assert np.array_equal(a.free[j][k], b.free[j][k])
+            assert np.array_equal(a.matrices[j][k], b.matrices[j][k])
+
+
 def test_sampled_channels_are_read_only():
     ch = sample_channels(generic_config(2, 2, 1))
     with pytest.raises(ValueError):
@@ -170,10 +217,10 @@ def test_sampled_channels_are_read_only():
 
 
 def test_cross_pairs_excludes_direct_links():
-    ch = sample_channels(generic_config(3, 2, 1))
-    pairs = list(ch.cross_pairs())
+    pairs = list(cross_pairs(3))
     assert len(pairs) == 6
     assert all(j != k for j, k in pairs)
+    assert pairs == sorted(pairs)
 
 
 def test_channel_set_copies_caller_arrays():
@@ -223,7 +270,7 @@ SHAPES = [
 @pytest.mark.parametrize("cfg", SHAPES)
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 40 + 7, 2 ** 64 - 1])
 def test_sampled_channels_match_the_dense_sampler(cfg, seed):
-    cfg = with_seed(cfg, seed)
+    cfg = replace(cfg, seed=seed)
     ch = sample_channels(cfg)
     assert ch.structure == cfg.structure and ch.M == cfg.M
     for j, row in enumerate(dense_sampler(cfg)):
@@ -234,7 +281,7 @@ def test_sampled_channels_match_the_dense_sampler(cfg, seed):
 
 @pytest.mark.parametrize("cfg", SHAPES)
 def test_apply_matches_the_dense_product(cfg):
-    ch = sample_channels(with_seed(cfg, 5))
+    ch = sample_channels(replace(cfg, seed=5))
     rng = substream(5, 1)
     for j in range(cfg.K):
         for k in range(cfg.K):
@@ -264,7 +311,7 @@ def test_dense_view_is_built_on_access():
 
 @pytest.mark.parametrize("cfg", SHAPES[1:])
 def test_from_dense_round_trips_the_free_entries(cfg):
-    ch = sample_channels(with_seed(cfg, 3))
+    ch = sample_channels(replace(cfg, seed=3))
     back = ChannelSet.from_dense(cfg, ch.matrices)
     assert back.structure == cfg.structure and back.M == cfg.M
     assert all(np.array_equal(a, b) for ra, rb in zip(ch.free, back.free)
@@ -284,12 +331,14 @@ def test_from_dense_names_a_nonzero_confined_entry():
         ChannelSet.from_dense(generic_config(2, 4, 1), mats)
 
 
-def test_with_seed_replaces_only_the_seed():
+def test_replace_changes_only_the_seed_and_validates():
     cfg = diagonal_config(3, 5, (2, 1, 1), seed=4)
-    other = with_seed(cfg, 9)
+    other = replace(cfg, seed=9)
     assert other.seed == 9
     assert (other.K, other.N, other.d, other.structure) == \
         (cfg.K, cfg.N, cfg.d, cfg.structure)
+    with pytest.raises(InvalidSpec):
+        replace(cfg, seed=-1)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -324,7 +373,6 @@ def test_solution_json_round_trip_is_exact():
 def test_any_symmetric_diagonal_config_survives_json(k, n_s, seed):
     d = min(1, n_s)
     cfg = diagonal_config(k, n_s, d, seed=seed)
-    validate_config(cfg)
     assert config_from_json(config_to_json(cfg)) == cfg
 
 

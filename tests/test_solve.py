@@ -1,6 +1,7 @@
 """Alternating leakage minimization and Monte Carlo feasibility verdicts."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from align_lab.model import (
     IaSolution,
     block_diagonal_config,
     complex_normal,
+    cross_pairs,
     diagonal_config,
     generic_config,
     sample_channels,
     substream,
-    with_seed,
 )
 from align_lab.solve import (
     _RESTART_SALT,
@@ -67,7 +68,7 @@ def _loop_trajectory(ch, d, opts, rng):
 
     def leak(us, vs):
         return float(sum(np.linalg.norm(us[j].conj().T @ ch.matrices[j][k] @ vs[k]) ** 2
-                         for j, k in ch.cross_pairs()))
+                         for j, k in cross_pairs(ch.K)))
 
     vs = [np.linalg.qr(complex_normal(rng, N[k], d[k]))[0] for k in range(K)]
     us = update(vs, lambda k, j: ch.matrices[k][j])
@@ -132,7 +133,7 @@ def test_run_trials_matches_per_run_minimize_leakage(cfg, staggered):
         warnings.simplefilter("error")
         records = run_trials(cfg, opts)
         for rec in records:
-            ch = sample_channels(with_seed(cfg, _trial_channel_seed(cfg, opts, rec.trial)))
+            ch = sample_channels(replace(cfg, seed=_trial_channel_seed(cfg, opts, rec.trial)))
             sol, traj = minimize_leakage(ch, cfg.d, opts, rng=substream(
                 opts.seed, _RESTART_SALT, rec.trial, rec.restart))
             assert rec.iters == len(traj) - 1
