@@ -8,7 +8,7 @@ classifier; dense, diagonal and block-diagonal channel structures.
 from .counting import (CjParameters, PropernessReport, cj_parameters, equation_count,
                        improper_by_threshold, is_proper, min_improper_n,
                        symmetric_bound, tdma_baseline, variable_count)
-from .cj3 import Cj3Instance, build_instance, construct, exceeds_tdma
+from .cj3 import Cj3Instance, build_instance, construct
 from .errors import (AlignLabError, DegenerateSpan, DimensionMismatch, InvalidSpec,
                      RankDeficient, SingularChannel, SingularGaugeBlock,
                      StreamOverflow)
@@ -30,9 +30,8 @@ __all__ = [
     "SolverOptions", "StreamOverflow", "StructureKind", "SystemConfig",
     "VerificationResult", "assemble_channels", "block_diagonal_config",
     "build_instance", "check", "cj_parameters", "classify",
-    "construct", "diagonal_config", "equation_count", "exceeds_tdma",
-    "generic_config", "improper_by_threshold", "is_proper",
-    "min_improper_n", "minimize_leakage", "normalize_gauge", "run_probe",
-    "sample_channels", "symmetric_bound", "tdma_baseline",
-    "variable_count", "__version__",
+    "construct", "diagonal_config", "equation_count", "generic_config",
+    "improper_by_threshold", "is_proper", "min_improper_n", "minimize_leakage",
+    "normalize_gauge", "run_probe", "sample_channels", "symmetric_bound",
+    "tdma_baseline", "variable_count", "__version__",
 ]

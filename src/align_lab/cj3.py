@@ -3,8 +3,10 @@
 With diagonal channels of common dimension N_s = 2n+1 the stream split
 d = (n+1, n, n) is achievable for every positive n: a total of 3n+1 streams
 on 2n+1 slots, so the normalized DoF (3n+1)/(3(2n+1)) approaches 1/2 from
-below while plain time sharing is stuck at 1/3. This module builds the
-witness explicitly.
+below while plain time sharing is stuck at 1/3. That shape is the K=3 rung
+of the time-extension series, and ``counting.cj_parameters(3, n)`` and
+``counting.cj_config(3, n)`` own it; this module builds the witness
+explicitly.
 
 Writing t for the elementwise ratio that chains all six cross channels into
 a loop, the precoder of user 1 spans the order-(n+1) Krylov space of diag(t)
@@ -20,16 +22,15 @@ on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .counting import cj_config, cj_parameters
 from .errors import DegenerateSpan, DimensionMismatch, SingularChannel
-from .model import (ChannelSet, IaSolution, StructureKind, diagonal_config,
-                    sample_channels)
+from .model import ChannelSet, IaSolution, StructureKind, sample_channels
 from .subspaces import orthonormal_columns
 
-__all__ = ["Cj3Instance", "construct", "build_instance", "exceeds_tdma"]
+__all__ = ["Cj3Instance", "construct", "build_instance"]
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,10 @@ class Cj3Instance:
     solution: IaSolution
 
     def __post_init__(self) -> None:
-        if self.N_s != 2 * self.n + 1:
+        p = cj_parameters(3, self.n)
+        if self.N_s != p.N_s:
             raise DimensionMismatch(f"N_s={self.N_s} is not 2n+1 for n={self.n}")
-        if self.solution.d != (self.n + 1, self.n, self.n):
+        if self.solution.d != p.d:
             raise DimensionMismatch(f"stream split {self.solution.d} is not "
                                     f"(n+1, n, n) for n={self.n}")
 
@@ -114,13 +116,12 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
     Decoders are orthonormal bases of the orthogonal complement of the
     stacked interference at each receiver.
     """
-    if n < 1:
-        raise ValueError(f"extension index must be a positive integer, got n={n}")
+    p = cj_parameters(3, n)
     h = _diagonals(ch)
     n_s = ch.N[0]
-    if n_s != 2 * n + 1:
+    if n_s != p.N_s:
         raise DimensionMismatch(f"signal dimension {n_s} does not match "
-                                f"2n+1={2 * n + 1} for n={n}")
+                                f"2n+1={p.N_s} for n={n}")
 
     # one full trip around the interference loop, per slot
     t = (h[2][1] * h[0][2] * h[1][0]) / (h[2][0] * h[0][1] * h[1][2])
@@ -134,7 +135,7 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
         raise DegenerateSpan(f"rescaled precoders lost rank ({rank2}, {rank3} < {n})")
 
     v = (v1, v2, v3)
-    d = (n + 1, n, n)
+    d = p.d
     us = []
     for k in range(3):
         others = [j for j in range(3) if j != k]
@@ -157,13 +158,7 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
 
 
 def build_instance(n: int, seed: int = 0) -> Cj3Instance:
-    """Sample diagonal channels for index n and align them."""
-    cfg = diagonal_config(3, 2 * n + 1, (n + 1, n, n), seed=seed)
+    """Sample channels for ``cj_config(3, n, seed)`` and align them."""
+    cfg = cj_config(3, n, seed=seed)
     ch = sample_channels(cfg)
-    return Cj3Instance(n=n, N_s=2 * n + 1, channels=ch, solution=construct(ch, n))
-
-
-def exceeds_tdma(inst: Cj3Instance) -> bool:
-    """True iff the instance's normalized DoF beats time sharing's 1/3."""
-    d_bar = Fraction(3 * inst.n + 1, 3 * (2 * inst.n + 1))
-    return d_bar > Fraction(1, 3)
+    return Cj3Instance(n=n, N_s=cfg.n_s, channels=ch, solution=construct(ch, n))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import sys
@@ -21,15 +23,15 @@ import numpy as np
 
 from . import cj3 as cj3_mod
 from .counting import (bound_sweep_rows, cj_config, cj_parameters,
-                       improper_by_threshold, is_proper, min_improper_n)
+                       improper_by_threshold, is_proper, min_improper_n, tdma_baseline)
 from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficient,
                      SingularChannel, SingularGaugeBlock, StreamOverflow)
 from .model import (ChannelSet, SystemConfig, channels_from_json, channels_to_json,
-                    config_from_json, config_to_json, cross_pairs, diagonal_config,
-                    pair_support, sample_channels, solution_from_json,
-                    solution_to_json)
-from .solve import SolverOptions, classify, run_record_row, verdict_to_json
-from .verify import TOL_ALIGN, check, result_to_json
+                    config_from_json, config_to_json, cross_pairs, pair_support,
+                    sample_channels, solution_from_json, solution_to_json)
+from .probe import run_probe
+from .solve import SolverOptions, classify
+from .verify import TOL_ALIGN, VerificationResult, check
 
 __all__ = ["main", "polynomial_system_text"]
 
@@ -68,7 +70,8 @@ def _load_channels(args: argparse.Namespace, cfg: SystemConfig) -> ChannelSet:
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each reads the parsed arguments and returns
-# (json payload, csv rows, raw text)
+# (json payload, csv rows, raw text); each builds its own report, and no
+# other module writes one
 
 def _frac(x: Fraction) -> tuple[str, float]:
     return str(x), float(x)
@@ -122,37 +125,50 @@ def cmd_contradiction(args: argparse.Namespace):
     return {"n_max": args.n_max, "rows": rows}, rows, None
 
 
+def _verification_row(res: VerificationResult) -> dict:
+    """The flat CSV fields of a check, shared by ``cj3`` and ``verify``."""
+    return {"leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
+            "direct_ranks": ";".join(str(r) for r in res.direct_ranks),
+            "aligned": res.aligned, "rank_ok": res.rank_ok}
+
+
+def _verification_json(res: VerificationResult) -> dict:
+    return {"leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
+            "direct_ranks": list(res.direct_ranks), "aligned": res.aligned,
+            "rank_ok": res.rank_ok, "tolerances": {"tol_align": res.tol_align}}
+
+
+def _config_digest(cfg: SystemConfig) -> str:
+    """Short stable hash identifying a configuration in tabular output."""
+    blob = json.dumps(config_to_json(cfg), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
 def cmd_cj3(args: argparse.Namespace):
+    p = cj_parameters(3, args.n)
     inst = cj3_mod.build_instance(args.n, seed=args.seed)
     res = check(inst.channels, inst.solution, tol_align=args.tol)
-    exact, value = _frac(Fraction(3 * inst.n + 1, 3 * inst.N_s))
-    cfg = diagonal_config(3, inst.N_s, (inst.n + 1, inst.n, inst.n), seed=args.seed)
+    exact, value = _frac(p.d_bar)
+    exceeds_tdma = p.d_bar > tdma_baseline(3)
     payload = {
-        "n": inst.n, "N_s": inst.N_s, "seed": args.seed,
-        "d": [inst.n + 1, inst.n, inst.n],
-        "d_bar": exact, "d_bar_value": value,
-        "exceeds_tdma": cj3_mod.exceeds_tdma(inst),
-        "verification": result_to_json(res),
-        "config": config_to_json(cfg),
+        "n": p.n, "N_s": p.N_s, "seed": args.seed, "d": list(p.d),
+        "d_bar": exact, "d_bar_value": value, "exceeds_tdma": exceeds_tdma,
+        "verification": _verification_json(res),
+        "config": config_to_json(cj_config(3, args.n, seed=args.seed)),
         "channels": channels_to_json(inst.channels),
         "solution": solution_to_json(inst.solution),
     }
-    row = {"n": inst.n, "N_s": inst.N_s, "seed": args.seed,
-           "leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
-           "direct_ranks": ";".join(str(r) for r in res.direct_ranks),
-           "aligned": res.aligned, "rank_ok": res.rank_ok,
-           "d_bar": exact, "d_bar_value": value,
-           "exceeds_tdma": cj3_mod.exceeds_tdma(inst)}
+    row = {"n": p.n, "N_s": p.N_s, "seed": args.seed, **_verification_row(res),
+           "d_bar": exact, "d_bar_value": value, "exceeds_tdma": exceeds_tdma}
     return payload, [row], None
 
 
 def cmd_probe(args: argparse.Namespace):
-    from .probe import report_to_json, run_probe
     # --seed steers the draws, not the channels: the config keeps its seed
     cfg = _load_config(args.config, None)
     report = run_probe(cfg, args.draws, seed=args.seed)
     payload = {"config": config_to_json(cfg), "draws_seed": args.seed,
-               **report_to_json(report)}
+               **dataclasses.asdict(report)}
     rows = [{"draw": i, "nullity": x}
             for i, x in enumerate(report.per_draw_nullity)]
     return payload, rows, None
@@ -163,12 +179,26 @@ def cmd_solve(args: argparse.Namespace):
     opts = SolverOptions(max_iters=args.max_iters, tol_align=args.tol,
                          restarts=args.restarts, trials=args.trials, seed=args.seed)
     verdict = classify(cfg, opts)
-    payload = verdict_to_json(cfg, verdict)
-    payload["options"] = {"trials": opts.trials, "restarts": opts.restarts,
-                          "max_iters": opts.max_iters, "tol_align": opts.tol_align,
-                          "seed": opts.seed}
-    rows = [run_record_row(cfg, r) for r in verdict.records]
-    return payload, rows, None
+    digest = _config_digest(cfg)
+    runs = [{"config": digest, "trial": r.trial, "restart": r.restart,
+             "iters": r.iters, "stop_reason": r.stop_reason,
+             "final_leakage": r.final_leakage, "rank_ok": r.rank_ok}
+            for r in verdict.records]
+    median, p90 = verdict.leakage_quantiles
+    payload = {
+        "config": config_to_json(cfg),
+        "success_rate": verdict.success_rate,
+        "best_leakage": verdict.best_leakage,
+        "leakage_quantiles": {"median": median, "p90": p90},
+        "classification": verdict.classification.value,
+        "witness_found": verdict.witness_found,
+        "witness_status": verdict.witness_status,
+        "runs": runs,
+        "options": {"trials": opts.trials, "restarts": opts.restarts,
+                    "max_iters": opts.max_iters, "tol_align": opts.tol_align,
+                    "seed": opts.seed},
+    }
+    return payload, runs, None
 
 
 def cmd_verify(args: argparse.Namespace):
@@ -180,11 +210,8 @@ def cmd_verify(args: argparse.Namespace):
             raise DimensionMismatch(f"user {k}: the solution has {got} streams, "
                                     f"the config names d_k={want}")
     res = check(ch, sol, tol_align=args.tol)
-    payload = {"config": config_to_json(cfg), "result": result_to_json(res)}
-    row = {"leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
-           "direct_ranks": ";".join(str(r) for r in res.direct_ranks),
-           "aligned": res.aligned, "rank_ok": res.rank_ok}
-    return payload, [row], None
+    payload = {"config": config_to_json(cfg), "result": _verification_json(res)}
+    return payload, [_verification_row(res)], None
 
 
 def cmd_export_poly(args: argparse.Namespace):

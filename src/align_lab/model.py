@@ -468,9 +468,27 @@ def config_to_json(cfg: SystemConfig) -> dict:
     return doc
 
 
+_CONFIG_KEYS = ("K", "N", "d", "structure", "M", "seed")
+_STRUCTURE_KEYS = ("kind", "N_c")
+
+
+def _reject_unknown_keys(doc, known: tuple[str, ...], where: str) -> None:
+    for key in doc if isinstance(doc, dict) else ():
+        if key not in known:
+            raise InvalidSpec(f"unknown {where} key {key!r}; expected one of "
+                              f"{', '.join(known)}")
+
+
 def config_from_json(doc: dict) -> SystemConfig:
-    """Parse and validate a config document; a float or bool count raises InvalidSpec."""
+    """Parse and validate a config document.
+
+    A key outside the schema, at the top level or in ``structure``, and a
+    float or bool count raise InvalidSpec naming it, so a misspelt field
+    never falls back to its default.
+    """
+    _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
     try:
+        _reject_unknown_keys(doc["structure"], _STRUCTURE_KEYS, "structure")
         structure = ChannelStructure(kind=doc["structure"]["kind"],
                                      subcarriers=doc["structure"].get("N_c"))
         return SystemConfig(K=doc["K"], N=doc["N"], d=doc["d"], structure=structure,

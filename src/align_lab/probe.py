@@ -29,7 +29,6 @@ __all__ = [
     "draw_random_solution",
     "run_probe",
     "assemble_channels",
-    "report_to_json",
 ]
 
 _DRAW_SALT = 104729  # keeps probe substreams clear of channel substreams
@@ -136,15 +135,3 @@ def assemble_channels(cfg: SystemConfig, h: np.ndarray) -> ChannelSet:
                 offset += size
         free.append(row)
     return ChannelSet(cfg, free)
-
-
-def report_to_json(report: ProbeReport) -> dict:
-    return {
-        "draws": report.draws,
-        "nontrivial_draws": report.nontrivial_draws,
-        "per_draw_nullity": list(report.per_draw_nullity),
-        "span_rank": report.span_rank,
-        "dim_target": report.dim_target,
-        "sd_upper_bound": report.sd_upper_bound,
-        "filled": report.filled,
-    }

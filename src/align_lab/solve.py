@@ -21,17 +21,15 @@ and a known explicit witness overrides solver failure.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cj3
+from .counting import cj_config
 from .errors import DegenerateSpan, DimensionMismatch, RankDeficient, SingularChannel
-from .model import (ChannelSet, IaSolution, StructureKind, SystemConfig,
-                    complex_normal, config_to_json, cross_pairs, pair_support,
-                    sample_channels, substream)
+from .model import (ChannelSet, IaSolution, SystemConfig, complex_normal, cross_pairs,
+                    pair_support, sample_channels, substream)
 from .verify import _cross_leakage, check
 
 __all__ = [
@@ -42,9 +40,6 @@ __all__ = [
     "minimize_leakage",
     "run_trials",
     "classify",
-    "config_digest",
-    "run_record_row",
-    "verdict_to_json",
 ]
 
 _TRIAL_SALT = 65537    # derives per-trial channel seeds
@@ -106,7 +101,7 @@ class FeasibilityVerdict:
 
     ``leakage_quantiles`` is (median, p90) of final leakages.
     ``witness_status`` reports the explicit three-user construction:
-    ``not_applicable`` (not a K=3 diagonal (n+1, n, n) configuration),
+    ``not_applicable`` (not ``cj_config(3, n)`` for any n, seed aside),
     ``verified``, ``failed_check`` (built, but the verifier rejects it) or
     ``raised: <ErrorName>: <message>``. A verified witness settles existence
     regardless of the solver's success rate.
@@ -307,13 +302,12 @@ def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:
 def _witness(cfg: SystemConfig, opts: SolverOptions) -> str:
     """Try the explicit three-user construction on this exact configuration.
 
-    Returns the ``witness_status`` of ``FeasibilityVerdict``.
+    It applies to ``cj_config(3, n)`` with the config's seed, for the one n
+    that N_0 = 2n+1 allows. Returns the ``witness_status`` of
+    ``FeasibilityVerdict``.
     """
-    if cfg.structure.kind is not StructureKind.DIAGONAL or cfg.K != 3:
-        return "not_applicable"
-    n_s = cfg.n_s
-    n = (n_s - 1) // 2
-    if n_s % 2 == 0 or n_s < 3 or cfg.d != (n + 1, n, n):
+    n = (cfg.N[0] - 1) // 2
+    if cfg.K != 3 or n < 1 or cfg != cj_config(3, n, seed=cfg.seed):
         return "not_applicable"
     try:
         ch = sample_channels(cfg)
@@ -346,35 +340,3 @@ def classify(cfg: SystemConfig, opts: SolverOptions) -> FeasibilityVerdict:
     return FeasibilityVerdict(success_rate=rate, best_leakage=best,
                               leakage_quantiles=quantiles, classification=verdict,
                               witness_status=witness, records=tuple(records))
-
-
-def config_digest(cfg: SystemConfig) -> str:
-    """Short stable hash identifying a configuration in tabular output."""
-    blob = json.dumps(config_to_json(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def run_record_row(cfg: SystemConfig, rec: RunRecord) -> dict:
-    return {
-        "config": config_digest(cfg),
-        "trial": rec.trial,
-        "restart": rec.restart,
-        "iters": rec.iters,
-        "stop_reason": rec.stop_reason,
-        "final_leakage": rec.final_leakage,
-        "rank_ok": rec.rank_ok,
-    }
-
-
-def verdict_to_json(cfg: SystemConfig, verdict: FeasibilityVerdict) -> dict:
-    return {
-        "config": config_to_json(cfg),
-        "success_rate": verdict.success_rate,
-        "best_leakage": verdict.best_leakage,
-        "leakage_quantiles": {"median": verdict.leakage_quantiles[0],
-                              "p90": verdict.leakage_quantiles[1]},
-        "classification": verdict.classification.value,
-        "witness_found": verdict.witness_found,
-        "witness_status": verdict.witness_status,
-        "runs": [run_record_row(cfg, r) for r in verdict.records],
-    }

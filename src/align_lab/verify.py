@@ -25,7 +25,6 @@ __all__ = [
     "VerificationResult",
     "check",
     "normalize_gauge",
-    "result_to_json",
 ]
 
 TOL_ALIGN = 1e-8            # absolute threshold on the normalized leakage
@@ -132,14 +131,3 @@ def normalize_gauge(sol: IaSolution) -> IaSolution:
     vs = tuple(_gauge_one(v, "precoder", k) for k, v in enumerate(sol.V))
     us = tuple(_gauge_one(u, "decoder", k) for k, u in enumerate(sol.U))
     return IaSolution(V=vs, U=us)
-
-
-def result_to_json(res: VerificationResult) -> dict:
-    return {
-        "leakage": res.leakage,
-        "min_cross_residual": res.min_cross_residual,
-        "direct_ranks": list(res.direct_ranks),
-        "aligned": res.aligned,
-        "rank_ok": res.rank_ok,
-        "tolerances": {"tol_align": res.tol_align},
-    }

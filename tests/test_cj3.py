@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from align_lab.cj3 import Cj3Instance, build_instance, construct, exceeds_tdma
+from align_lab.cj3 import Cj3Instance, build_instance, construct
+from align_lab.counting import cj_parameters, tdma_baseline
 from align_lab.errors import DegenerateSpan, DimensionMismatch, SingularChannel
 from align_lab.model import (
     ChannelSet,
@@ -38,7 +39,7 @@ def test_mid_size_instance_verifies_and_beats_time_sharing():
     assert res.leakage < 1e-9
     assert res.direct_ranks == (4, 3, 3)
     # 10 streams over 7 slots for 3 users: 10/21 of the cake, above 1/3
-    assert exceeds_tdma(inst)
+    assert cj_parameters(3, 3).d_bar > tdma_baseline(3)
     assert Fraction(10, 21) > Fraction(1, 3)
 
 
@@ -73,7 +74,7 @@ def test_total_streams_fill_the_odd_dimension_plus_signal():
         inst = build_instance(n, seed=0)
         assert inst.N_s == 2 * n + 1
         assert sum(inst.solution.d) == 3 * n + 1
-        assert exceeds_tdma(inst)
+        assert cj_parameters(3, n).d_bar > tdma_baseline(3)
 
 
 def test_construct_rejects_nonpositive_index():

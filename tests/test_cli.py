@@ -344,6 +344,65 @@ def test_non_integer_config_numbers_exit_2(tmp_path, capsys, command, field, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, message", [
+    ("sead", "unknown config key 'sead'; expected one of K, N, d, structure, M, seed"),
+    ("Nc", "unknown structure key 'Nc'; expected one of kind, N_c"),
+], ids=["sead", "Nc"])
+@pytest.mark.parametrize("command", ["probe", "solve"])
+def test_misspelt_config_keys_exit_2(tmp_path, capsys, command, key, message):
+    # a misspelt key used to be ignored, so its field silently took its default
+    doc = {"K": 3, "N": [2, 2, 2], "d": [1, 1, 1], "structure": {"kind": "generic"}}
+    if key == "Nc":
+        doc["structure"]["Nc"] = 4
+    else:
+        doc["sead"] = 5
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    extra = ["--trials", "1", "--max-iters", "1"] if command == "solve" else ["--draws", "1"]
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    assert main([command, "--config", str(cfg_path), *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cj3_names_a_nonpositive_index(tmp_path, capsys, n):
+    # the message names --n, not the config the index would have built
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    assert main(["cj3", "--n", n, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"n={n}" in err
+    assert "d=" not in err and "N=" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, header", [
+    ("bounds", "K,param,exact,value,source"),
+    ("cj-params", "K,n,N_exp,N_s,d_first,d_other,d_total,d_bar,d_bar_value"),
+    ("contradiction", "K,min_improper_n,N_s,d_first,d_other,N_e,N_v,improper_by_threshold"),
+    ("cj3", "n,N_s,seed,leakage,min_cross_residual,direct_ranks,aligned,rank_ok,"
+            "d_bar,d_bar_value,exceeds_tdma"),
+    ("probe", "draw,nullity"),
+    ("solve", "config,trial,restart,iters,stop_reason,final_leakage,rank_ok"),
+    ("verify", "leakage,min_cross_residual,direct_ranks,aligned,rank_ok"),
+])
+def test_csv_headers_are_pinned(tmp_path, command, header):
+    paths = write_witness_with_stray_entry(tmp_path)
+    cfg = ["--config", str(paths["config"])]
+    argv = {"bounds": [],
+            "cj-params": ["--K", "4", "--n", "1:2"],
+            "contradiction": ["--K", "4:4", "--n-max", "10"],
+            "cj3": ["--n", "1"],
+            "probe": cfg + ["--draws", "1"],
+            "solve": cfg + ["--trials", "1", "--max-iters", "2"],
+            "verify": cfg + ["--solution", str(paths["solution"])]}[command]
+    out = tmp_path / "out.csv"
+    assert main([command, *argv, "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == header
+
+
 def test_verify_rejects_a_solution_for_other_stream_counts(tmp_path, capsys):
     solved = generic_config(3, 4, 1, seed=0)
     sol, traj = minimize_leakage(sample_channels(solved), solved.d,

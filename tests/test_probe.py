@@ -1,13 +1,17 @@
 """Linearized channel probing: P's per-pair blocks, nullspaces, span growth."""
 
+import json
+
 import numpy as np
 import pytest
 
+from align_lab.cli import main
 from align_lab.counting import dim_channel_space, equation_count, sparse_dim_deficit
 from align_lab.errors import DimensionMismatch
 from align_lab.model import (
     IaSolution,
     block_diagonal_config,
+    config_to_json,
     diagonal_config,
     generic_config,
     pair_support,
@@ -18,7 +22,6 @@ from align_lab.probe import (
     assemble_channels,
     draw_random_solution,
     pair_block,
-    report_to_json,
     run_probe,
 )
 from align_lab.subspaces import nullspace_basis
@@ -157,7 +160,7 @@ def test_probe_is_deterministic():
     cfg = generic_config(3, 2, 1, seed=5)
     a = run_probe(cfg, draws=3, seed=21)
     b = run_probe(cfg, draws=3, seed=21)
-    assert report_to_json(a) == report_to_json(b)
+    assert a == b
     # the probe seed steers the sampled solutions, not the channel model
     s1 = draw_random_solution(cfg, substream(21, 0))
     s2 = draw_random_solution(cfg, substream(22, 0))
@@ -175,9 +178,18 @@ def test_span_accumulation_survives_compression():
     assert rep.filled
 
 
-def test_report_serialization_fields():
+def probe_json(tmp_path, cfg, draws, seed):
+    """The ``probe`` subcommand's JSON report on ``cfg``."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "probe.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert main(["probe", "--config", str(cfg_path), "--draws", str(draws),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_report_serialization_fields(tmp_path):
     cfg = generic_config(3, 2, 1, seed=5)
-    doc = report_to_json(run_probe(cfg, draws=2, seed=1))
+    doc = probe_json(tmp_path, cfg, draws=2, seed=1)
     assert doc["draws"] == 2
     assert doc["dim_target"] == 24
     assert doc["sd_upper_bound"] == 23
@@ -196,6 +208,8 @@ def test_report_serialization_fields():
      {"draws": 4, "nontrivial_draws": 0, "per_draw_nullity": [0, 0, 0, 0],
       "span_rank": 0, "dim_target": 42, "sd_upper_bound": 41, "filled": False}),
 ])
-def test_probe_reports_are_pinned(cfg, draws, seed, expected):
+def test_probe_reports_are_pinned(tmp_path, cfg, draws, seed, expected):
     """Reports recorded with the dense-P probe; the per-pair probe must match."""
-    assert report_to_json(run_probe(cfg, draws=draws, seed=seed)) == expected
+    doc = probe_json(tmp_path, cfg, draws, seed)
+    assert (doc.pop("config"), doc.pop("draws_seed")) == (config_to_json(cfg), seed)
+    assert doc == expected

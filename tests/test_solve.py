@@ -1,5 +1,6 @@
 """Alternating leakage minimization and Monte Carlo feasibility verdicts."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -7,12 +8,15 @@ import numpy as np
 import pytest
 
 from align_lab import solve
+from align_lab.cli import _config_digest, main
+from align_lab.counting import cj_config
 from align_lab.errors import DegenerateSpan
 from align_lab.model import (
     ChannelSet,
     IaSolution,
     block_diagonal_config,
     complex_normal,
+    config_to_json,
     cross_pairs,
     diagonal_config,
     generic_config,
@@ -26,13 +30,21 @@ from align_lab.solve import (
     _stop_reason,
     _trial_channel_seed,
     classify,
-    config_digest,
     minimize_leakage,
-    run_record_row,
     run_trials,
-    verdict_to_json,
 )
 from align_lab.verify import check
+
+
+def solve_json(tmp_path, cfg, opts):
+    """The ``solve`` subcommand's JSON report on ``cfg`` under ``opts``."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "solve.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert main(["solve", "--config", str(cfg_path), "--trials", str(opts.trials),
+                 "--restarts", str(opts.restarts), "--max-iters", str(opts.max_iters),
+                 "--tol", repr(opts.tol_align), "--seed", str(opts.seed),
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
 
 def _fix_phase_loop(vectors):
@@ -234,6 +246,31 @@ def test_witness_is_not_consulted_for_generic_structure():
     assert verdict.witness_status == "not_applicable"
 
 
+def _near_misses(n):
+    """Configs one step off ``cj_config(3, n)``: other kind, N_s, order or K."""
+    return {"block-diagonal": block_diagonal_config(3, 1, 2 * n + 1, (n + 1, n, n)),
+            "generic": generic_config(3, 2 * n + 1, (n + 1, n, n)),
+            "even-N_s": diagonal_config(3, 2 * n + 2, (n + 1, n, n)),
+            "streams-permuted": diagonal_config(3, 2 * n + 1, (n, n + 1, n)),
+            "K=4": diagonal_config(4, 2 * n + 1, (n + 1, n, n, n))}
+
+
+NEAR_MISSES = [pytest.param(cfg, id=f"{name}-n{n}")
+               for n in (1, 2) for name, cfg in _near_misses(n).items()]
+TRY_WITNESS = SolverOptions(max_iters=1, trials=1)
+
+
+@pytest.mark.parametrize("cfg", NEAR_MISSES + [pytest.param(diagonal_config(3, 2, 1),
+                                                            id="n0")])
+def test_witness_does_not_apply_to_near_misses(cfg):
+    assert classify(cfg, TRY_WITNESS).witness_status == "not_applicable"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_witness_applies_to_every_rung_of_the_series(n):
+    assert classify(cj_config(3, n, seed=n), TRY_WITNESS).witness_status != "not_applicable"
+
+
 def _misaligned(ch, n):
     rng = substream(0, 3)
     return IaSolution(V=tuple(complex_normal(rng, 2 * n + 1, dk) for dk in (n + 1, n, n)),
@@ -248,13 +285,14 @@ def _collapsed(ch, n):
     (_misaligned, "failed_check"),
     (_collapsed, "raised: DegenerateSpan: Krylov space collapsed after 1 directions"),
 ], ids=["failed_check", "raised"])
-def test_failed_witness_is_reported_not_swallowed(monkeypatch, construct, status):
+def test_failed_witness_is_reported_not_swallowed(tmp_path, monkeypatch, construct, status):
     monkeypatch.setattr(solve.cj3, "construct", construct)
     cfg = diagonal_config(3, 3, (2, 1, 1), seed=4)
-    verdict = classify(cfg, SolverOptions(max_iters=60, trials=2, seed=1))
+    opts = SolverOptions(max_iters=60, trials=2, seed=1)
+    verdict = classify(cfg, opts)
     assert verdict.witness_status == status
     assert not verdict.witness_found
-    doc = verdict_to_json(cfg, verdict)
+    doc = solve_json(tmp_path, cfg, opts)
     assert doc["witness_status"] == status and doc["witness_found"] is False
 
 
@@ -292,11 +330,11 @@ def test_verdict_quantiles_are_ordered():
     assert verdict.best_leakage <= median
 
 
-def test_classification_is_reproducible():
+def test_classification_is_reproducible(tmp_path):
     cfg = generic_config(3, 2, 1, seed=9)
     opts = SolverOptions(max_iters=300, trials=4, seed=3)
-    a = verdict_to_json(cfg, classify(cfg, opts))
-    b = verdict_to_json(cfg, classify(cfg, opts))
+    a = solve_json(tmp_path, cfg, opts)
+    b = solve_json(tmp_path, cfg, opts)
     assert a == b
 
 
@@ -309,32 +347,31 @@ def test_solver_seed_changes_the_runs():
 
 def test_config_digest_is_short_and_stable():
     cfg = generic_config(3, 2, 1, seed=7)
-    d1 = config_digest(cfg)
+    d1 = _config_digest(cfg)
     assert len(d1) == 12
-    assert d1 == config_digest(generic_config(3, 2, 1, seed=7))
-    assert d1 != config_digest(generic_config(3, 2, 1, seed=8))
+    assert d1 == _config_digest(generic_config(3, 2, 1, seed=7))
+    assert d1 != _config_digest(generic_config(3, 2, 1, seed=8))
 
 
-def test_run_record_rows_are_flat_and_typed():
+def test_run_record_rows_are_flat_and_typed(tmp_path):
     cfg = generic_config(3, 2, 1, seed=2)
-    records = run_trials(cfg, SolverOptions(max_iters=200, trials=2, seed=0))
-    rows = [run_record_row(cfg, r) for r in records]
+    rows = solve_json(tmp_path, cfg, SolverOptions(max_iters=200, trials=2, seed=0))["runs"]
+    assert len(rows) == 2
     for row in rows:
         assert set(row) == {"config", "trial", "restart", "iters", "stop_reason",
                             "final_leakage", "rank_ok"}
         assert row["stop_reason"] in {"zero", "plateau", "max_iters"}
-        assert row["config"] == config_digest(cfg)
+        assert row["config"] == _config_digest(cfg)
         assert isinstance(row["final_leakage"], float)
 
 
-def test_verdict_serialization_fields():
+def test_verdict_serialization_fields(tmp_path):
     cfg = generic_config(3, 2, 2, seed=1)
-    doc = verdict_to_json(cfg, classify(cfg, SolverOptions(max_iters=60,
-                                                           trials=3, seed=0)))
+    doc = solve_json(tmp_path, cfg, SolverOptions(max_iters=60, trials=3, seed=0))
     assert doc["classification"] == "LikelyInfeasible"
     assert doc["witness_found"] is False
     assert doc["witness_status"] == "not_applicable"
     assert len(doc["runs"]) == 3
-    assert all(row["config"] == config_digest(cfg) for row in doc["runs"])
+    assert all(row["config"] == _config_digest(cfg) for row in doc["runs"])
     assert {"config", "success_rate", "best_leakage",
             "leakage_quantiles"} <= set(doc)

@@ -1,11 +1,14 @@
 """Alignment verifier: leakage metric, rank verdicts, gauge normalization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from align_lab.cj3 import build_instance
+from align_lab.cli import _verification_json
 from align_lab.errors import RankDeficient, SingularGaugeBlock
 from align_lab.model import (
     ChannelSet,
@@ -16,7 +19,7 @@ from align_lab.model import (
     sample_channels,
     substream,
 )
-from align_lab.verify import check, normalize_gauge, result_to_json
+from align_lab.verify import check, normalize_gauge
 
 
 def identity_case(k=2, n=2, d=1):
@@ -130,7 +133,7 @@ def test_normalize_gauge_rejects_singular_top_block():
 
 def test_result_serialization_round_trips_through_json():
     inst = build_instance(1, seed=2)
-    doc = result_to_json(check(inst.channels, inst.solution))
+    doc = json.loads(json.dumps(_verification_json(check(inst.channels, inst.solution))))
     assert doc["aligned"] is True
     assert doc["rank_ok"] is True
     assert doc["direct_ranks"] == [2, 1, 1]
