@@ -38,14 +38,15 @@ class Cj3Instance:
     """One constructed witness: channels plus the solution that aligns them."""
 
     n: int
-    N_s: int
     channels: ChannelSet
     solution: IaSolution
 
     def __post_init__(self) -> None:
         p = cj_parameters(3, self.n)
-        if self.N_s != p.N_s:
-            raise DimensionMismatch(f"N_s={self.N_s} is not 2n+1 for n={self.n}")
+        for what, N in (("channels", self.channels.N), ("solution", self.solution.N)):
+            if N != (p.N_s,) * 3:
+                raise DimensionMismatch(f"{what}: N={N} is not three copies of "
+                                        f"2n+1={p.N_s} for n={self.n}")
         if self.solution.d != p.d:
             raise DimensionMismatch(f"stream split {self.solution.d} is not "
                                     f"(n+1, n, n) for n={self.n}")
@@ -159,6 +160,5 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
 
 def build_instance(n: int, seed: int = 0) -> Cj3Instance:
     """Sample channels for ``cj_config(3, n, seed)`` and align them."""
-    cfg = cj_config(3, n, seed=seed)
-    ch = sample_channels(cfg)
-    return Cj3Instance(n=n, N_s=cfg.n_s, channels=ch, solution=construct(ch, n))
+    ch = sample_channels(cj_config(3, n, seed=seed))
+    return Cj3Instance(n=n, channels=ch, solution=construct(ch, n))

@@ -146,10 +146,12 @@ def min_improper_n(K: int, n_max: int) -> int | None:
     Sweeps n = 1, 2, ... with ``improper_by_threshold``, the closed form of
     N_e > N_v for the scheme's diagonal configuration. Returns None when
     every index up to n_max is proper. K=3 never turns improper; K >= 4 does
-    at modest n.
+    at modest n. An empty sweep (n_max < 1) raises ValueError: it proves nothing.
     """
     if K < 3:
         raise ValueError(f"the extension series needs K >= 3, got K={K}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     return next((n for n in range(1, n_max + 1) if improper_by_threshold(K, n)), None)
 
 

@@ -248,17 +248,15 @@ def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return (w[0] + 1j * w[1]) / math.sqrt(2.0)
 
 
-def _frozen(a) -> np.ndarray:
-    """``a`` as a read-only complex array.
+def _frozen(a, what: str) -> np.ndarray:
+    """A read-only complex copy of ``a``: the one way a model object stores an array.
 
-    A read-only complex ndarray that owns its data is taken over without a
-    copy; its creator hands it over and must not make it writeable again.
-    Anything else is copied.
+    Raises DimensionMismatch, naming ``what``, when an entry is not finite.
     """
-    if not (type(a) is np.ndarray and a.dtype == complex
-            and a.flags.owndata and not a.flags.writeable):
-        a = np.array(a, dtype=complex)
-        a.flags.writeable = False
+    a = np.array(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise DimensionMismatch(f"{what} contains non-finite entries")
+    a.flags.writeable = False
     return a
 
 
@@ -294,9 +292,9 @@ class ChannelSet:
     zero are stored nowhere. ``N``, ``structure`` and ``M`` give the shape,
     so a channel set serves as the shape argument of ``pair_support``.
 
-    ``ChannelSet(shape, free)`` stores the free-entry vectors for ``shape``'s
-    N, structure and M; inputs pass through ``_frozen``, so read-only complex
-    arrays that own their data are taken over and anything else is copied.
+    ``ChannelSet(shape, free)`` stores a read-only copy of each free-entry
+    vector for ``shape``'s N, structure and M, so later edits to the inputs
+    never reach it.
     ``ChannelSet.from_dense(cfg, matrices)`` gathers them from dense matrices.
     """
 
@@ -311,13 +309,11 @@ class ChannelSet:
         for j, row in enumerate(free):
             vectors = []
             for k, v in enumerate(row):
-                v = _frozen(v)
+                v = _frozen(v, f"H[{j}][{k}]")
                 size = _pair_size(self, j, k)
                 if v.shape != (size,):
                     raise DimensionMismatch(f"H[{j}][{k}] has free entries of shape "
                                             f"{v.shape}, expected ({size},)")
-                if not np.isfinite(v).all():
-                    raise DimensionMismatch(f"H[{j}][{k}] contains non-finite entries")
                 vectors.append(v)
             rows.append(tuple(vectors))
         object.__setattr__(self, "free", tuple(rows))
@@ -349,9 +345,7 @@ class ChannelSet:
                     raise DimensionMismatch(
                         f"H[{j}][{k}] has entry ({r}, {c}) = {complex(h[r, c])} "
                         f"outside the {cfg.structure.kind.value} structure")
-                v = h[support]
-                v.flags.writeable = False   # a fresh gather: taken over, not copied
-                vectors.append(v)
+                vectors.append(h[support])
             free.append(vectors)
         return cls(cfg, free)
 
@@ -396,20 +390,14 @@ def sample_channels(cfg: SystemConfig) -> ChannelSet:
     entries are exactly zero. The same config (seed included) always yields
     a bit-identical channel set.
     """
-    free = []
-    for j in range(cfg.K):
-        row = []
-        for k in range(cfg.K):
-            v = complex_normal(substream(cfg.seed, j, k), _pair_size(cfg, j, k))
-            v.flags.writeable = False
-            row.append(v)
-        free.append(row)
+    free = [[complex_normal(substream(cfg.seed, j, k), _pair_size(cfg, j, k))
+             for k in range(cfg.K)] for j in range(cfg.K)]
     return ChannelSet(cfg, free)
 
 
 @dataclass(frozen=True, eq=False)
 class IaSolution:
-    """Per-user precoders V[k] and decoders U[k], each N_k x d_k and finite."""
+    """Per-user precoders V[k] and decoders U[k], each N_k x d_k and finite; read-only copies."""
 
     V: tuple[np.ndarray, ...]
     U: tuple[np.ndarray, ...]
@@ -419,19 +407,14 @@ class IaSolution:
             raise DimensionMismatch(f"{len(self.V)} precoders vs {len(self.U)} decoders")
         vs, us = [], []
         for k, (v, u) in enumerate(zip(self.V, self.U)):
-            v = np.array(v, dtype=complex)
-            u = np.array(u, dtype=complex)
+            v = _frozen(v, f"user {k}: precoder")
+            u = _frozen(u, f"user {k}: decoder")
             if v.ndim != 2 or u.ndim != 2 or v.shape != u.shape:
                 raise DimensionMismatch(
                     f"user {k}: precoder shape {v.shape} vs decoder shape {u.shape}")
             if v.shape[1] < 1 or v.shape[1] > v.shape[0]:
                 raise DimensionMismatch(
                     f"user {k}: {v.shape[1]} streams do not fit in dimension {v.shape[0]}")
-            for name, mat in (("precoder", v), ("decoder", u)):
-                if not np.isfinite(mat).all():
-                    raise DimensionMismatch(f"user {k}: {name} contains non-finite entries")
-            v.flags.writeable = False
-            u.flags.writeable = False
             vs.append(v)
             us.append(u)
         object.__setattr__(self, "V", tuple(vs))

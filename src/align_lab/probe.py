@@ -86,6 +86,8 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     supports = [(j, k, *pair_support(cfg, j, k)) for j, k in cross_pairs(cfg.K)]
     spans = [np.zeros((rows.size, 0), dtype=complex) for _, _, rows, _ in supports]
     nullities = []

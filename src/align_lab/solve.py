@@ -73,6 +73,8 @@ class SolverOptions:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def test_decoders_are_orthonormal_and_orthogonal_to_interference():
 def test_total_streams_fill_the_odd_dimension_plus_signal():
     for n in (1, 2, 5):
         inst = build_instance(n, seed=0)
-        assert inst.N_s == 2 * n + 1
+        assert inst.channels.N[0] == 2 * n + 1
         assert sum(inst.solution.d) == 3 * n + 1
         assert cj_parameters(3, n).d_bar > tdma_baseline(3)
 
@@ -137,7 +137,16 @@ def test_identical_channels_collapse_the_chain():
 def test_instance_shape_guard():
     inst = build_instance(1, seed=0)
     with pytest.raises(DimensionMismatch):
-        Cj3Instance(n=2, N_s=3, channels=inst.channels, solution=inst.solution)
+        Cj3Instance(n=2, channels=inst.channels, solution=inst.solution)
+
+
+def test_instance_rejects_channels_of_another_index():
+    # the guard reads the channels it holds, not a stored copy of their shape
+    one, two = build_instance(1, seed=0), build_instance(2, seed=0)
+    with pytest.raises(DimensionMismatch, match="channels"):
+        Cj3Instance(n=1, channels=two.channels, solution=one.solution)
+    with pytest.raises(DimensionMismatch):
+        Cj3Instance(n=2, channels=two.channels, solution=one.solution)
 
 
 def test_build_instance_is_deterministic():

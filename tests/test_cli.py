@@ -93,6 +93,16 @@ def test_contradiction_reports_absence_for_three_users(tmp_path):
     assert row["min_improper_n"] is None
 
 
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_contradiction_rejects_an_empty_sweep(tmp_path, capsys, n_max):
+    # sweeping no index proves nothing, so it must not read as "all proper"
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    assert main(["contradiction", "--K", "3:4", "--n-max", n_max, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: n_max must be at least 1, got {n_max}\n"
+    assert not out.exists()
+
+
 def test_contradiction_rejects_out_of_range_users(tmp_path):
     assert main(["contradiction", "--K", "2:5", "--n-max", "10",
                  "--out", str(tmp_path / "x.json")]) == 2
@@ -131,7 +141,8 @@ def test_solve_json_and_csv(tmp_path):
     rc = main(["solve", "--config", cfg_path, "--trials", "3",
                "--max-iters", "800", "--format", "csv", "--out", str(csv_path)])
     assert rc == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    with csv_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert {"config", "trial", "restart", "iters", "stop_reason",
             "final_leakage", "rank_ok"} <= set(rows[0])
@@ -375,6 +386,18 @@ def test_cj3_names_a_nonpositive_index(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert f"n={n}" in err
     assert "d=" not in err and "N=" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "probe"])
+def test_negative_seed_is_named(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, generic_config(3, 2, 1))
+    extra = ["--trials", "1", "--max-iters", "2"] if command == "solve" else ["--draws", "1"]
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, *extra, "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not out.exists()
 
 

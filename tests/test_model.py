@@ -236,13 +236,31 @@ def test_channel_set_copies_caller_arrays():
     ch = ChannelSet(cfg, ((v, view), (view, v)))
     v[0] = 7.0
     assert all(w[0] == 1.0 for row in ch.free for w in row)
+    # so are read-only complex arrays that own their data: a caller who makes
+    # them writeable again cannot edit the set
+    owned = [[np.ones(4, dtype=complex) for _ in range(2)] for _ in range(2)]
+    for row in owned:
+        for w in row:
+            w.flags.writeable = False
+    ch = ChannelSet(cfg, owned)
+    for row in owned:
+        for w in row:
+            w.flags.writeable = True
+            w[0] = 99.0
+    assert all(w[0] == 1.0 for row in ch.free for w in row)
+    assert all(np.array_equal(m, np.ones((2, 2))) for row in ch.matrices for m in row)
+    assert not any(w.flags.writeable for row in ch.free for w in row)
 
 
-def test_channel_set_takes_over_read_only_arrays():
-    # the free-entry vectors sample_channels hands over are stored as they are
-    ch = sample_channels(diagonal_config(3, 4, 1))
-    again = ChannelSet(ch, ch.free)
-    assert all(a is b for ra, rb in zip(ch.free, again.free) for a, b in zip(ra, rb))
+def test_ia_solution_copies_caller_arrays():
+    v, u = np.ones((3, 1), dtype=complex), np.ones((3, 1), dtype=complex)
+    u.flags.writeable = False
+    sol = IaSolution(V=(v, v), U=(u, u))
+    v[0, 0] = 7.0
+    u.flags.writeable = True
+    u[0, 0] = 99.0
+    assert all(np.array_equal(x, np.ones((3, 1))) for x in sol.V + sol.U)
+    assert not any(x.flags.writeable for x in sol.V + sol.U)
 
 
 def dense_sampler(cfg):

@@ -132,6 +132,9 @@ def test_options_validation():
         SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         SolverOptions(trials=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SolverOptions(seed=-1)
+    assert SolverOptions(seed=2 ** 64).seed == 2 ** 64
 
 
 @pytest.mark.parametrize("cfg, staggered", [
