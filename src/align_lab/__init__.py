@@ -15,9 +15,8 @@ from .errors import (AlignLabError, DegenerateSpan, DimensionMismatch, InvalidSp
 from .model import (ChannelSet, ChannelStructure, IaSolution, StructureKind,
                     SystemConfig, block_diagonal_config, diagonal_config,
                     generic_config, sample_channels)
-from .probe import ProbeReport, assemble_channels, run_probe
-from .solve import (Classification, FeasibilityVerdict, SolverOptions, classify,
-                    minimize_leakage)
+from .probe import ProbeReport, run_probe
+from .solve import Classification, FeasibilityVerdict, SolverOptions, classify
 from .verify import VerificationResult, check, normalize_gauge
 
 __version__ = "0.1.0"
@@ -28,10 +27,10 @@ __all__ = [
     "FeasibilityVerdict", "IaSolution", "InvalidSpec", "ProbeReport",
     "PropernessReport", "RankDeficient", "SingularChannel", "SingularGaugeBlock",
     "SolverOptions", "StreamOverflow", "StructureKind", "SystemConfig",
-    "VerificationResult", "assemble_channels", "block_diagonal_config",
+    "VerificationResult", "block_diagonal_config",
     "build_instance", "check", "cj_parameters", "classify",
     "construct", "diagonal_config", "equation_count", "generic_config",
-    "improper_by_threshold", "is_proper", "min_improper_n", "minimize_leakage",
+    "improper_by_threshold", "is_proper", "min_improper_n",
     "normalize_gauge", "run_probe", "sample_channels", "symmetric_bound",
     "tdma_baseline", "variable_count", "__version__",
 ]

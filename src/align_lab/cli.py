@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cj3 as cj3_mod
-from .counting import (bound_sweep_rows, cj_config, cj_parameters,
-                       improper_by_threshold, is_proper, min_improper_n, tdma_baseline)
+from .counting import (cj_config, cj_parameters, improper_by_threshold, is_proper,
+                       min_improper_n, symmetric_bound, tdma_baseline)
 from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficient,
                      SingularChannel, SingularGaugeBlock, StreamOverflow)
 from .model import (ChannelSet, SystemConfig, channels_from_json, channels_to_json,
@@ -78,12 +78,16 @@ def _frac(x: Fraction) -> tuple[str, float]:
 
 
 def cmd_bounds(args: argparse.Namespace):
+    Ks, ns, Ms = parse_range(args.K), parse_range(args.n), parse_range(args.M)
     rows = []
-    for raw in bound_sweep_rows(parse_range(args.K), parse_range(args.n),
-                                parse_range(args.M)):
-        exact, value = _frac(raw["value"])
-        rows.append({"K": raw["K"], "param": raw["param"], "exact": exact,
-                     "value": value, "source": raw["source"]})
+    for K in Ks:
+        bounds = [(n, cj_parameters(K, n).d_bar, "BoundA") for n in ns if K >= 3]
+        bounds += [(M, symmetric_bound(M, K), "BoundB") for M in Ms]
+        bounds.append((None, tdma_baseline(K), "TDMA"))
+        for param, bound, source in bounds:
+            exact, value = _frac(bound)
+            rows.append({"K": K, "param": param, "exact": exact, "value": value,
+                         "source": source})
     return {"rows": rows}, rows, None
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import SystemConfig, _blocks, diagonal_config
 
@@ -39,7 +39,6 @@ __all__ = [
     "improper_by_threshold",
     "dim_channel_space",
     "sparse_dim_deficit",
-    "bound_sweep_rows",
 ]
 
 
@@ -190,25 +189,3 @@ def sparse_dim_deficit(cfg: SystemConfig) -> int:
     argument behind the properness bound cannot apply to this structure.
     """
     return equation_count(cfg.d) - dim_channel_space(cfg)
-
-
-def bound_sweep_rows(K_values: Iterable[int], n_values: Iterable[int],
-                     M_values: Iterable[int]) -> list[dict]:
-    """Rows for a bound-comparison table.
-
-    One row per (K, n) with the Bound A normalized DoF, one per (K, M) with
-    the Bound B ceiling, one per K with the TDMA baseline. ``param`` holds n
-    or M (None for TDMA); ``value`` is exact.
-    """
-    rows: list[dict] = []
-    for K in K_values:
-        if K >= 3:
-            for n in n_values:
-                rows.append({"K": K, "param": n,
-                             "value": cj_parameters(K, n).d_bar, "source": "BoundA"})
-        for M in M_values:
-            rows.append({"K": K, "param": M,
-                         "value": symmetric_bound(M, K), "source": "BoundB"})
-        rows.append({"K": K, "param": None,
-                     "value": tdma_baseline(K), "source": "TDMA"})
-    return rows

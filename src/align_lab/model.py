@@ -49,8 +49,6 @@ __all__ = [
     "solution_from_json",
 ]
 
-_MAX_SEED = 2**64
-
 
 class StructureKind(str, enum.Enum):
     GENERIC = "generic"
@@ -63,6 +61,14 @@ def _int(name: str, x) -> int:
     if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise InvalidSpec(f"{name} must be an integer, got {x!r}")
     return operator.index(x)
+
+
+def _seed(x) -> int:
+    """``x`` as a seed: any non-negative integer; InvalidSpec otherwise."""
+    seed = _int("seed", x)
+    if seed < 0:
+        raise InvalidSpec(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ class SystemConfig:
             if values is not None:
                 object.__setattr__(self, name, tuple(_int(f"{name}[{i}]", x)
                                                      for i, x in enumerate(values)))
-        object.__setattr__(self, "seed", _int("seed", self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
         if self.K < 2:
             raise DimensionMismatch(f"user count must be at least 2, got K={self.K}")
@@ -122,8 +128,6 @@ class SystemConfig:
         for k, (nk, dk) in enumerate(zip(self.N, self.d)):
             if dk > nk:
                 raise StreamOverflow(f"user {k}: d_k={dk} exceeds signal dimension N_k={nk}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
         kind = self.structure.kind
         if kind is StructureKind.BLOCK_DIAGONAL:

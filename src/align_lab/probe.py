@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import dim_channel_space
-from .errors import DimensionMismatch
-from .model import (ChannelSet, IaSolution, SystemConfig, _pair_size, complex_normal,
-                    cross_pairs, pair_support, substream)
+from .model import (IaSolution, SystemConfig, _seed, complex_normal, cross_pairs,
+                    pair_support, substream)
 from .subspaces import nullspace_basis, numerical_rank, orthonormal_columns
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "pair_block",
     "draw_random_solution",
     "run_probe",
-    "assemble_channels",
 ]
 
 _DRAW_SALT = 104729  # keeps probe substreams clear of channel substreams
@@ -86,8 +84,7 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _seed(seed)
     supports = [(j, k, *pair_support(cfg, j, k)) for j, k in cross_pairs(cfg.K)]
     spans = [np.zeros((rows.size, 0), dtype=complex) for _, _, rows, _ in supports]
     nullities = []
@@ -110,30 +107,3 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
                        dim_target=dim_target,
                        sd_upper_bound=dim_target - 1,
                        filled=span_rank == dim_target)
-
-
-def assemble_channels(cfg: SystemConfig, h: np.ndarray) -> ChannelSet:
-    """Split a free-entry vector into a structured channel set.
-
-    Inverse of the canonical flattening: the cross pairs' free entries, in
-    ``pair_support`` order, follow one another in lexicographic pair order.
-    Direct channels, which never appear in the cross equations, are set to
-    zero.
-    """
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    expected = dim_channel_space(cfg)
-    if h.shape[0] != expected:
-        raise DimensionMismatch(f"free-entry vector has length {h.shape[0]}, "
-                                f"structure has {expected} free cross entries")
-    free, offset = [], 0
-    for j in range(cfg.K):
-        row = []
-        for k in range(cfg.K):
-            size = _pair_size(cfg, j, k)
-            if j == k:
-                row.append(np.zeros(size, dtype=complex))
-            else:
-                row.append(h[offset:offset + size])
-                offset += size
-        free.append(row)
-    return ChannelSet(cfg, free)

@@ -27,17 +27,16 @@ import numpy as np
 
 from . import cj3
 from .counting import cj_config
-from .errors import DegenerateSpan, DimensionMismatch, RankDeficient, SingularChannel
-from .model import (ChannelSet, IaSolution, SystemConfig, complex_normal, cross_pairs,
-                    pair_support, sample_channels, substream)
-from .verify import _cross_leakage, check
+from .errors import DegenerateSpan, RankDeficient, SingularChannel
+from .model import (ChannelSet, IaSolution, SystemConfig, _seed, complex_normal,
+                    cross_pairs, pair_support, sample_channels, substream)
+from .verify import _check_tolerance, _cross_leakage, check
 
 __all__ = [
     "SolverOptions",
     "RunRecord",
     "Classification",
     "FeasibilityVerdict",
-    "minimize_leakage",
     "run_trials",
     "classify",
 ]
@@ -67,14 +66,12 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not self.tol_align > 0:
-            raise ValueError(f"tol_align must be positive, got {self.tol_align}")
+        _check_tolerance(self.tol_align)
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -119,14 +116,6 @@ class FeasibilityVerdict:
     @property
     def witness_found(self) -> bool:
         return self.witness_status == "verified"
-
-
-def _stack(mats, rows: int, cols: int) -> np.ndarray:
-    """Zero-padded (len(mats), rows, cols) stack of per-user matrices."""
-    out = np.zeros((len(mats), rows, cols), dtype=complex)
-    for k, m in enumerate(mats):
-        out[k, :m.shape[0], :m.shape[1]] = m
-    return out
 
 
 def _cross_stack(chs: list[ChannelSet]) -> np.ndarray:
@@ -192,23 +181,22 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
                    ) -> list[tuple[IaSolution, list[float], str]]:
     """Alternating leakage minimization of runs on channel sets of one shape.
 
-    Run r solves ``chs[r]`` from precoders drawn from ``rngs[r]``; returns
-    its solution, trajectory and stop reason. Every half-step updates all
-    users of all live runs at once, and a run leaves the stacks as soon as
-    ``_stop_reason`` stops it, so each run's iterates are exactly those it
-    would take alone.
+    Run r solves ``chs[r]`` from orthonormalized complex-normal precoders
+    drawn from ``rngs[r]``; returns its solution, trajectory and stop reason.
+    Decoders take one half-step before the first trajectory point, so
+    trajectory[0] is already a minimized value. ``_stop_reason`` scales the
+    plateau test by the leakage level, which keeps slow descents toward
+    tolerance going without letting stalled runs burn the sweep budget.
+    Every half-step updates all users of all live runs at once, and a run
+    leaves the stacks as soon as it stops, so each run's iterates are exactly
+    those it would take alone.
     """
     N = chs[0].N
-    d = tuple(int(x) for x in d)
-    if len(d) != len(N):
-        raise DimensionMismatch(f"{len(d)} stream counts for {len(N)} users")
-    for k, (dk, nk) in enumerate(zip(d, N)):
-        if not 1 <= dk <= nk:
-            raise DimensionMismatch(f"user {k}: d_k={dk} does not fit N_k={nk}")
-
     n, w = max(N), max(d)
-    vs = np.stack([_stack([np.linalg.qr(complex_normal(rng, n_k, d_k))[0]
-                           for n_k, d_k in zip(N, d)], n, w) for rng in rngs])
+    vs = np.zeros((len(chs), len(N), n, w), dtype=complex)
+    for r, rng in enumerate(rngs):
+        for k, (n_k, d_k) in enumerate(zip(N, d)):
+            vs[r, k, :n_k, :d_k] = np.linalg.qr(complex_normal(rng, n_k, d_k))[0]
     h = _cross_stack(chs)
     h_rec = np.ascontiguousarray(h.conj().transpose(0, 2, 1, 4, 3))
     keep = np.arange(w) < np.array(d)[:, None]
@@ -237,27 +225,6 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
             h, h_rec, us = h[going], h_rec[going], us[going]
         vs = _least_interference(h_rec, us, keep, groups)[0]
         us, hv = _least_interference(h, vs, keep, groups)
-
-
-def minimize_leakage(ch: ChannelSet, d: tuple[int, ...], opts: SolverOptions,
-                     rng: np.random.Generator | None = None
-                     ) -> tuple[IaSolution, list[float]]:
-    """Alternating leakage minimization; returns the solution and trajectory.
-
-    Precoders start as orthonormalized complex-normal draws and decoders take
-    one half-step before the first trajectory point, so trajectory[0] is
-    already a minimized value. Iteration stops as ``_stop_reason`` says: at
-    exact zero, at a plateau, or after max_iters sweeps; scaling the plateau
-    test by the level keeps slow descents toward tolerance alive without
-    letting stalled runs burn the iteration budget. This is the one-run call
-    of ``_minimize_runs``, the solver ``run_trials`` batches. All iterates
-    have orthonormal columns, making the internal metric identical to the
-    verifier's; only their subspaces are meaningful, not their column phases.
-    """
-    if rng is None:
-        rng = substream(0, _RESTART_SALT, 0, 0)
-    sol, trajectory, _ = _minimize_runs([ch], d, opts, [rng])[0]
-    return sol, trajectory
 
 
 def _trial_channel_seed(cfg: SystemConfig, opts: SolverOptions, trial: int) -> int:
@@ -312,9 +279,8 @@ def _witness(cfg: SystemConfig, opts: SolverOptions) -> str:
     if cfg.K != 3 or n < 1 or cfg != cj_config(3, n, seed=cfg.seed):
         return "not_applicable"
     try:
-        ch = sample_channels(cfg)
-        sol = cj3.construct(ch, n)
-        res = check(ch, sol, tol_align=opts.tol_align)
+        inst = cj3.build_instance(n, seed=cfg.seed)
+        res = check(inst.channels, inst.solution, tol_align=opts.tol_align)
     except (SingularChannel, DegenerateSpan, RankDeficient) as exc:
         return f"raised: {type(exc).__name__}: {exc}"
     return "verified" if res.aligned and res.rank_ok else "failed_check"

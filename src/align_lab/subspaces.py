@@ -10,22 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "rank_tolerance",
     "numerical_rank",
     "orthonormal_columns",
     "nullspace_basis",
 ]
 
 
-def rank_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
-    """Cutoff below which a singular value is treated as zero."""
-    return max(shape) * np.finfo(float).eps * sigma_max
-
-
 def _rank_from_singular_values(shape: tuple[int, int], s: np.ndarray) -> int:
+    """Count of the descending singular values ``s`` above the shared cutoff."""
     if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > rank_tolerance(shape, float(s[0]))))
+    return int(np.count_nonzero(s > max(shape) * np.finfo(float).eps * float(s[0])))
 
 
 def numerical_rank(a: np.ndarray) -> int:

@@ -50,6 +50,12 @@ class VerificationResult:
     tol_align: float
 
 
+def _check_tolerance(tol_align: float) -> None:
+    """Raise ValueError unless ``tol_align`` is finite and positive."""
+    if not 0 < tol_align < float("inf"):
+        raise ValueError(f"tol_align must be finite and positive, got {tol_align}")
+
+
 def _check_dims(ch: ChannelSet, sol: IaSolution) -> None:
     if sol.K != ch.K:
         raise DimensionMismatch(f"solution has {sol.K} users, channels have {ch.K}")
@@ -90,10 +96,9 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     subspaces, zero exactly when every cross product vanishes. Raises
     RankDeficient when a precoder or decoder does not span a d_k-dimensional
     subspace, since the metric is then not about the intended subspace at all.
-    Raises ValueError unless ``tol_align`` is positive.
+    Raises ValueError unless ``tol_align`` is finite and positive.
     """
-    if not tol_align > 0:
-        raise ValueError(f"tol_align must be positive, got {tol_align}")
+    _check_tolerance(tol_align)
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
     leak = worst = 0.0

@@ -16,13 +16,13 @@ from align_lab.cj3 import build_instance
 from align_lab.cli import main
 from align_lab.counting import (
     cj_parameters,
-    dim_channel_space,
     improper_by_threshold,
     is_proper,
     min_improper_n,
     symmetric_bound,
 )
 from align_lab.model import (
+    ChannelSet,
     complex_normal,
     config_to_json,
     diagonal_config,
@@ -32,7 +32,7 @@ from align_lab.model import (
     substream,
     IaSolution,
 )
-from align_lab.probe import assemble_channels, draw_random_solution, pair_block, run_probe
+from align_lab.probe import draw_random_solution, pair_block, run_probe
 from align_lab.subspaces import nullspace_basis
 from align_lab.solve import Classification, SolverOptions, classify
 from align_lab.verify import check, normalize_gauge
@@ -109,17 +109,17 @@ def test_criterion_5_probe_solutions_realign_and_generic_space_fills():
             n_s = int(picker.integers(2, 6))
             cfg = diagonal_config(3, n_s, 1, seed=seed)
         sol = draw_random_solution(cfg, substream(seed, 404, case))
-        # P is block-diagonal by pair: zero-padded block nullspaces span its nullspace
-        offset = 0
+        # P is block-diagonal by pair: a pair's nullspace vector, with every
+        # other link zero, is a channel set that (U, V) aligns
         for j, k in [(j, k) for j in range(cfg.K) for k in range(cfg.K) if j != k]:
             rows, cols = pair_support(cfg, j, k)
             basis = nullspace_basis(pair_block(sol.U[j], sol.V[k], rows, cols))
             for i in range(basis.shape[1]):
-                h = np.zeros(dim_channel_space(cfg), dtype=complex)
-                h[offset:offset + rows.size] = basis[:, i]
-                assert check(assemble_channels(cfg, h), sol).leakage <= 1e-8, (case, j, k, i)
+                free = [[basis[:, i] if (a, b) == (j, k) else
+                         np.zeros(pair_support(cfg, a, b)[0].size, dtype=complex)
+                         for b in range(cfg.K)] for a in range(cfg.K)]
+                assert check(ChannelSet(cfg, free), sol).leakage <= 1e-8, (case, j, k, i)
                 checked_vectors += 1
-            offset += rows.size
     assert checked_vectors > 100  # the mix must actually exercise nullspaces
 
     filled = sum(run_probe(generic_config(3, 2, 1, seed=s), draws=4, seed=s).filled

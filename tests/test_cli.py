@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from align_lab.model import (
     substream,
 )
 from align_lab.probe import draw_random_solution
-from align_lab.solve import SolverOptions, minimize_leakage
+from align_lab.solve import SolverOptions, _minimize_runs
 from align_lab.verify import normalize_gauge
 
 
@@ -58,6 +59,12 @@ def test_bounds_sweep_validates_and_stays_below_half(tmp_path):
     assert all(r["value"] < 0.5 for r in rows)
     # exact rationals ride along with the decimal values
     assert all(re.fullmatch(r"[0-9]+/[0-9]+", r["exact"]) for r in rows)
+    assert all(Fraction(r["exact"]) < Fraction(1, 2) for r in rows)
+    bound_b = [r for r in doc["rows"] if r["source"] == "BoundB"]
+    tdma = [r for r in doc["rows"] if r["source"] == "TDMA"]
+    assert len(bound_b) == 8 and len(tdma) == 4
+    k3m2 = next(r for r in bound_b if r["K"] == 3 and r["param"] == 2)
+    assert k3m2["exact"] == "1"
 
 
 def test_bounds_tdma_and_symmetric_rows(tmp_path):
@@ -213,19 +220,23 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, flag, doc, what):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-@pytest.mark.parametrize("command", ["cj3", "verify"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["cj3", "verify", "solve"])
 def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command, tol):
     if command == "cj3":
         args = ["cj3", "--n", "1"]
     else:
         paths = write_witness_with_stray_entry(tmp_path)
-        args = ["verify", "--config", str(paths["config"]),
-                "--channels", str(paths["channels"]), "--solution", str(paths["solution"])]
+        args = [command, "--config", str(paths["config"])]
+        if command == "verify":
+            args += ["--channels", str(paths["channels"]), "--solution", str(paths["solution"])]
+        else:
+            args += ["--trials", "1", "--max-iters", "2"]
     out = tmp_path / "o.json"
     capsys.readouterr()
     assert main(args + ["--tol", tol, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: tol_align must be positive, got {float(tol)}\n"
+    assert capsys.readouterr().err == \
+        f"error: tol_align must be finite and positive, got {float(tol)}\n"
     assert not out.exists()
 
 
@@ -233,8 +244,8 @@ def test_verify_reports_misalignment_without_failing(tmp_path):
     cfg = generic_config(2, 2, 1, seed=6)
     cfg_path = write_config(tmp_path, cfg)
     rng = substream(6, 123)
-    sol = minimize_leakage(sample_channels(cfg), cfg.d,
-                           SolverOptions(max_iters=1), rng=rng)[0]
+    sol = _minimize_runs([sample_channels(cfg)], cfg.d,
+                         SolverOptions(max_iters=1), [rng])[0][0]
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(json.dumps(solution_to_json(sol)))
     doc = run_json(tmp_path, ["verify", "--config", cfg_path,
@@ -283,8 +294,8 @@ def test_export_poly_evaluates_to_the_cross_terms(tmp_path):
                 if l and not l.startswith("#")]
 
         ch = sample_channels(cfg)
-        sol = normalize_gauge(minimize_leakage(ch, cfg.d, SolverOptions(max_iters=3),
-                                               rng=substream(8, 5))[0])
+        sol = normalize_gauge(_minimize_runs([ch], cfg.d, SolverOptions(max_iters=3),
+                                             [substream(8, 5)])[0][0])
         values = {}
         for k, (v, u) in enumerate(zip(sol.V, sol.U)):
             for r in range(v.shape[0]):
@@ -389,16 +400,29 @@ def test_cj3_names_a_nonpositive_index(tmp_path, capsys, n):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "probe"])
+@pytest.mark.parametrize("command", ["solve", "probe", "cj3", "verify", "export-poly"])
 def test_negative_seed_is_named(tmp_path, capsys, command):
-    cfg_path = write_config(tmp_path, generic_config(3, 2, 1))
-    extra = ["--trials", "1", "--max-iters", "2"] if command == "solve" else ["--draws", "1"]
+    cfg = generic_config(3, 2, 1)
+    cfg_path = write_config(tmp_path, cfg)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(solution_to_json(draw_random_solution(cfg, substream(0, 1)))))
+    args = {"solve": ["--config", cfg_path, "--trials", "1", "--max-iters", "2"],
+            "probe": ["--config", cfg_path, "--draws", "1"],
+            "cj3": ["--n", "1"],
+            "verify": ["--config", cfg_path, "--solution", str(sol_path)],
+            "export-poly": ["--config", cfg_path]}[command]
     out = tmp_path / "o.json"
     capsys.readouterr()
-    assert main([command, "--config", cfg_path, *extra, "--seed", "-1",
-                 "--out", str(out)]) == 2
+    assert main([command, *args, "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not out.exists()
+
+
+def test_seeds_beyond_64_bits_are_accepted(tmp_path):
+    doc = run_json(tmp_path, ["cj3", "--n", "1", "--seed", str(2 ** 64)])
+    jsonschema.validate(doc, schema("cj3"))
+    assert doc["seed"] == doc["config"]["seed"] == 2 ** 64
+    assert doc["verification"]["aligned"]
 
 
 @pytest.mark.parametrize("command, header", [
@@ -428,8 +452,8 @@ def test_csv_headers_are_pinned(tmp_path, command, header):
 
 def test_verify_rejects_a_solution_for_other_stream_counts(tmp_path, capsys):
     solved = generic_config(3, 4, 1, seed=0)
-    sol, traj = minimize_leakage(sample_channels(solved), solved.d,
-                                 SolverOptions(max_iters=2000), rng=substream(0, 5))
+    sol, traj, _ = _minimize_runs([sample_channels(solved)], solved.d,
+                                  SolverOptions(max_iters=2000), [substream(0, 5)])[0]
     assert traj[-1] < 1e-12
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(json.dumps(solution_to_json(sol)))
@@ -468,8 +492,8 @@ def test_exit_code_for_numerical_failure(tmp_path):
     cfg = generic_config(2, 3, 2, seed=0)
     cfg_path = write_config(tmp_path, cfg)
     rng = substream(0, 9)
-    sol = minimize_leakage(sample_channels(cfg), cfg.d,
-                           SolverOptions(max_iters=1), rng=rng)[0]
+    sol = _minimize_runs([sample_channels(cfg)], cfg.d,
+                         SolverOptions(max_iters=1), [rng])[0][0]
     broken = solution_to_json(sol)
     # duplicated precoder column: rank 1 < d=2 at user 0
     broken["V"][0][0] = broken["V"][0][0][:2] * 1

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from align_lab.counting import (
-    bound_sweep_rows,
     cj_config,
     cj_parameters,
     dim_channel_space,
@@ -166,18 +165,6 @@ def test_dim_channel_space(cfg, dim):
 ])
 def test_sparse_dim_deficit(cfg, deficit):
     assert sparse_dim_deficit(cfg) == deficit
-
-
-def test_bound_sweep_rows_cover_the_grid():
-    rows = bound_sweep_rows(range(3, 7), range(1, 6), range(1, 3))
-    bound_a = [r for r in rows if r["source"] == "BoundA"]
-    assert len(bound_a) == 20
-    assert all(r["value"] < Fraction(1, 2) for r in bound_a)
-    bound_b = [r for r in rows if r["source"] == "BoundB"]
-    tdma = [r for r in rows if r["source"] == "TDMA"]
-    assert len(bound_b) == 8 and len(tdma) == 4
-    k3m2 = next(r for r in bound_b if r["K"] == 3 and r["param"] == 2)
-    assert k3m2["value"] == 1
 
 
 @given(st.integers(2, 8), st.permutations(list(range(4))))

@@ -3,6 +3,8 @@ and anything that walks a module's exports."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,13 @@ def test_star_import_works():
     namespace: dict = {}
     exec("from align_lab import *", namespace)
     assert set(align_lab.__all__) <= set(namespace)
+
+
+def test_readme_python_blocks_run():
+    # the quick start uses only public names, so a deleted or renamed
+    # export fails here instead of in a reader's first session
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -10,7 +10,7 @@ import pytest
 from align_lab import solve
 from align_lab.cli import _config_digest, main
 from align_lab.counting import cj_config
-from align_lab.errors import DegenerateSpan
+from align_lab.errors import DegenerateSpan, InvalidSpec
 from align_lab.model import (
     ChannelSet,
     IaSolution,
@@ -27,10 +27,10 @@ from align_lab.solve import (
     _RESTART_SALT,
     Classification,
     SolverOptions,
+    _minimize_runs,
     _stop_reason,
     _trial_channel_seed,
     classify,
-    minimize_leakage,
     run_trials,
 )
 from align_lab.verify import check
@@ -113,7 +113,7 @@ def test_batched_solver_matches_the_loop_solver(cfg):
     for seed in range(2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol, traj = minimize_leakage(ch, cfg.d, opts, rng=substream(seed, 1))
+            sol, traj, _ = _minimize_runs([ch], cfg.d, opts, [substream(seed, 1)])[0]
         ref = _loop_trajectory(ch, cfg.d, opts, substream(seed, 1))
         assert len(traj) == len(ref)
         # the covariances sum in another order, so only rounding may differ;
@@ -128,11 +128,13 @@ def test_options_validation():
         SolverOptions(max_iters=0)
     with pytest.raises(ValueError):
         SolverOptions(tol_align=0.0)
+    with pytest.raises(ValueError, match="tol_align must be finite and positive, got inf"):
+        SolverOptions(tol_align=float("inf"))
     with pytest.raises(ValueError):
         SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         SolverOptions(trials=-1)
-    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+    with pytest.raises(InvalidSpec, match="seed must be non-negative, got -1"):
         SolverOptions(seed=-1)
     assert SolverOptions(seed=2 ** 64).seed == 2 ** 64
 
@@ -142,15 +144,15 @@ def test_options_validation():
     (diagonal_config(3, 7, (4, 3, 3), seed=1), False),          # unequal d_k: the keep mask
     (generic_config(3, (2, 3, 4), (1, 3, 2), seed=1), False),   # two eigh groups, N_0 < d_max
 ], ids=["generic-3-2-1", "diagonal-7-433", "generic-234-132"])
-def test_run_trials_matches_per_run_minimize_leakage(cfg, staggered):
+def test_run_trials_matches_each_run_solved_alone(cfg, staggered):
     opts = SolverOptions(max_iters=300, trials=3, restarts=2, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = run_trials(cfg, opts)
         for rec in records:
             ch = sample_channels(replace(cfg, seed=_trial_channel_seed(cfg, opts, rec.trial)))
-            sol, traj = minimize_leakage(ch, cfg.d, opts, rng=substream(
-                opts.seed, _RESTART_SALT, rec.trial, rec.restart))
+            sol, traj, _ = _minimize_runs([ch], cfg.d, opts, [substream(
+                opts.seed, _RESTART_SALT, rec.trial, rec.restart)])[0]
             assert rec.iters == len(traj) - 1
             assert rec.stop_reason == _stop_reason(traj, opts)
             assert rec.trajectory == tuple(traj)
@@ -176,7 +178,7 @@ def test_trajectory_is_monotone_and_solution_verifies():
     cfg = generic_config(3, 2, 1, seed=1)
     ch = sample_channels(cfg)
     opts = SolverOptions(max_iters=500, trials=1)
-    sol, traj = minimize_leakage(ch, cfg.d, opts, rng=substream(1, 0))
+    sol, traj, _ = _minimize_runs([ch], cfg.d, opts, [substream(1, 0)])[0]
     diffs = np.diff(traj)
     assert np.all(diffs <= 1e-12)
     assert traj[-1] <= 1e-8
@@ -184,12 +186,12 @@ def test_trajectory_is_monotone_and_solution_verifies():
     assert res.aligned and res.rank_ok
 
 
-def test_minimize_leakage_plateaus_on_overloaded_config():
+def test_overloaded_run_plateaus_above_tolerance():
     # twice the streams the dimension supports: leakage stays order one
     cfg = generic_config(3, 2, 2, seed=3)
     ch = sample_channels(cfg)
-    sol, traj = minimize_leakage(ch, cfg.d, SolverOptions(max_iters=200),
-                                 rng=substream(3, 0))
+    sol, traj, _ = _minimize_runs([ch], cfg.d, SolverOptions(max_iters=200),
+                                  [substream(3, 0)])[0]
     assert np.all(np.diff(traj) <= 1e-12)
     assert traj[-1] > 1e-6
     assert sol.V[0].shape == (2, 2)
@@ -305,7 +307,7 @@ def test_stop_reason_zero_when_cross_channels_vanish():
                                [[eye if j == k else zero for k in range(3)]
                                 for j in range(3)])
     opts = SolverOptions(max_iters=50)
-    sol, traj = minimize_leakage(ch, (1, 2, 1), opts, rng=substream(0, 1))
+    sol, traj, _ = _minimize_runs([ch], (1, 2, 1), opts, [substream(0, 1)])[0]
     assert traj == [0.0]
     assert _stop_reason(traj, opts) == "zero"
     assert check(ch, sol).aligned
