@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from align_lab.cli import build_parser
 from align_lab.counting import (
     cj_config,
     cj_parameters,
@@ -165,6 +166,19 @@ def test_dim_channel_space(cfg, dim):
 ])
 def test_sparse_dim_deficit(cfg, deficit):
     assert sparse_dim_deficit(cfg) == deficit
+
+
+def test_bound_sweep_rows_cover_the_grid():
+    args = build_parser().parse_args(["bounds", "--K", "3:6", "--n", "1:5", "--M", "1:2"])
+    rows = args.run(args)[1]
+    bound_a = [r for r in rows if r["source"] == "BoundA"]
+    assert len(bound_a) == 20
+    assert all(Fraction(r["exact"]) < Fraction(1, 2) for r in bound_a)
+    bound_b = [r for r in rows if r["source"] == "BoundB"]
+    tdma = [r for r in rows if r["source"] == "TDMA"]
+    assert len(bound_b) == 8 and len(tdma) == 4
+    k3m2 = next(r for r in bound_b if r["K"] == 3 and r["param"] == 2)
+    assert Fraction(k3m2["exact"]) == 1
 
 
 @given(st.integers(2, 8), st.permutations(list(range(4))))
