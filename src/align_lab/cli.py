@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -26,9 +27,9 @@ from .counting import (cj_config, cj_parameters, improper_by_threshold, is_prope
                        min_improper_n, symmetric_bound, tdma_baseline)
 from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficient,
                      SingularChannel, SingularGaugeBlock, StreamOverflow)
-from .model import (ChannelSet, SystemConfig, channels_from_json, channels_to_json,
-                    config_from_json, config_to_json, cross_pairs, pair_support,
-                    sample_channels, solution_from_json, solution_to_json)
+from .model import (ChannelSet, SystemConfig, _JsonMatrix, channels_from_json,
+                    channels_to_json, config_from_json, config_to_json, cross_pairs,
+                    pair_support, sample_channels, solution_from_json, solution_to_json)
 from .probe import run_probe
 from .solve import SolverOptions, classify
 from .verify import TOL_ALIGN, VerificationResult, check
@@ -279,7 +280,12 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
 # ---------------------------------------------------------------------------
 # wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared; never change it.
+
+    ``parse_args`` leaves it as it is, so every call parses alike.
+    """
     parser = argparse.ArgumentParser(
         prog="align-lab",
         description="Numerical laboratory for interference-alignment feasibility")
@@ -350,10 +356,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _matrix_text(floats: np.ndarray, indent: str) -> str:
+    """An (r, c, 2) float array's nested lists as ``json.dumps(indent=2)`` writes them
+    at the line prefix ``indent``, filled into one template."""
+    r, c, _ = floats.shape
+    in1, in2, in3 = indent + "  ", indent + "    ", indent + "      "
+    pair = f"{in2}[{in3}%s,{in3}%s{in2}]"
+    row = f"[{','.join([pair] * c)}{in1}]" if c else "[]"
+    template = f"[{','.join([in1 + row] * r)}{indent}]" if r else "[]"
+    # model._frozen keeps every entry finite, and for a finite float json
+    # writes float.__repr__
+    return template % tuple(map(float.__repr__, floats.ravel().tolist()))
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, with matrices written in bulk.
+
+    Dicts, lists and tuples recurse; each key and scalar goes through
+    ``json.dumps``; a ``model._matrix_to_json`` matrix is written from its
+    float array by ``_matrix_text``.
+    """
+    if isinstance(value, _JsonMatrix):
+        return _matrix_text(value.floats, indent)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        # json.dumps({k: 0}) is '{<k>: 0}': the key under json's own rules
+        items = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        open_, close = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        open_, close = "[", "]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return open_ + close
+    return f"{open_}{inner}{(',' + inner).join(items)}{indent}{close}"
+
+
 def _emit(args: argparse.Namespace, payload, rows, text) -> None:
     if text is None:
         if args.fmt == "json":
-            text = json.dumps(payload, indent=2) + "\n"
+            text = _json_text(payload) + "\n"
         else:
             buf = io.StringIO()
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),

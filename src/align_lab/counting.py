@@ -19,6 +19,7 @@ exact.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -142,16 +143,24 @@ def cj_config(K: int, n: int, seed: int = 0) -> SystemConfig:
 def min_improper_n(K: int, n_max: int) -> int | None:
     """Smallest n <= n_max whose Bound A configuration fails properness.
 
-    Sweeps n = 1, 2, ... with ``improper_by_threshold``, the closed form of
+    Bisects n = 1..n_max with ``improper_by_threshold``, the closed form of
     N_e > N_v for the scheme's diagonal configuration. Returns None when
     every index up to n_max is proper. K=3 never turns improper; K >= 4 does
     at modest n. An empty sweep (n_max < 1) raises ValueError: it proves nothing.
+
+    Bisection finds the first improper index of a linear sweep: index n is
+    improper exactly when (1 + 1/n)^N < (K-1)(K-2)/2, with N = (K-1)(K-2) - 1
+    >= 1. The left side falls strictly as n grows, so every index above an
+    improper one is improper too: the improper indices are a final segment
+    of 1..n_max, and ``bisect_left`` returns its first element.
     """
     if K < 3:
         raise ValueError(f"the extension series needs K >= 3, got K={K}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return next((n for n in range(1, n_max + 1) if improper_by_threshold(K, n)), None)
+    ns = range(1, n_max + 1)
+    i = bisect.bisect_left(ns, True, key=lambda n: improper_by_threshold(K, n))
+    return ns[i] if i < len(ns) else None
 
 
 def improper_by_threshold(K: int, n: int) -> bool:

@@ -341,8 +341,8 @@ class ChannelSet:
                     raise DimensionMismatch(f"H[{j}][{k}] has shape {h.shape}, "
                                             f"expected ({cfg.N[j]}, {cfg.N[k]})")
                 support = pair_support(cfg, j, k)
-                outside = h.copy()
-                outside[support] = 0.0
+                outside = h != 0
+                outside[support] = False
                 bad = np.flatnonzero(outside)
                 if bad.size:
                     r, c = divmod(int(bad[0]), cfg.N[k])
@@ -484,12 +484,38 @@ def config_from_json(doc: dict) -> SystemConfig:
         raise DimensionMismatch(f"malformed config document: {exc}") from exc
 
 
-def _matrix_to_json(h: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(h)]
+class _JsonMatrix(list):
+    """A matrix as JSON-ready rows of [re, im] pairs that also carries them as
+    ``floats``, the (r, c, 2) float array, so a writer can format it in bulk.
+
+    The nested lists are a snapshot: editing them does not reach ``floats``.
+    """
+
+    __slots__ = ("floats",)
+
+
+def _matrix_to_json(h: np.ndarray) -> _JsonMatrix:
+    floats = np.ascontiguousarray(h, dtype=complex)
+    floats = floats.view(float).reshape(*floats.shape, 2)
+    m = _JsonMatrix(floats.tolist())
+    m.floats = floats
+    return m
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    """The complex matrix that ``_matrix_to_json`` wrote, every bit kept.
+
+    ValueError unless ``rows`` is a rectangle of [re, im] pairs of numbers
+    or booleans. An empty matrix passes through for the shape checks of the
+    caller to name.
+    """
+    a = np.array(rows)
+    if a.size == 0 and a.ndim < 3:
+        return a.astype(complex)
+    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2:
+        raise ValueError(f"expected rows of [re, im] number pairs, got {a.dtype} "
+                         f"entries of shape {a.shape}")
+    return a.astype(float).view(complex)[..., 0]
 
 
 def channels_to_json(ch: ChannelSet) -> list:

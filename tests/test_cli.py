@@ -14,10 +14,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import align_lab
-from align_lab.cli import _emit, build_parser, main
+from align_lab.cli import _emit, _json_text, build_parser, main
 from align_lab.model import (
+    _matrix_to_json,
     block_diagonal_config,
     config_from_json,
     config_to_json,
@@ -193,15 +196,40 @@ def test_off_support_channel_entry_is_rejected(tmp_path, capsys, command):
     assert "H[0][1] has entry (1, 2) = (5+0j) outside the diagonal structure" in err
 
 
-@pytest.mark.parametrize("flag, doc, what", [
-    ("--channels", [[1, 2], [3, 4]], "channels"),
-    ("--solution", {"V": 1}, "solution"),
-    ("--solution", {"V": []}, "solution"),
-], ids=["channels-of-ints", "solution-V-int", "solution-without-U"])
-def test_malformed_json_input_exits_2(tmp_path, capsys, flag, doc, what):
+def replaced(path, value):
+    """An edit of a stored document: the entry at index ``path`` becomes ``value``."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("flag, edit, what", [
+    ("--channels", lambda doc: [[1, 2], [3, 4]], "channels"),
+    ("--solution", lambda doc: {"V": 1}, "solution"),
+    ("--solution", lambda doc: {"V": []}, "solution"),
+    ("--channels", replaced([0, 1, 0, 0, 0], "1.5"), "channels"),
+    ("--channels", replaced([0, 1, 0, 0, 1], None), "channels"),
+    ("--channels", replaced([0, 1, 0, 0], [1, 2, 3]), "channels"),
+    ("--channels", replaced([0, 1, 0, 0], [1]), "channels"),
+    ("--channels", replaced([0, 1, 1], [[0.0, 0.0]]), "channels"),
+    ("--channels", replaced([0, 1], [1.0, 0.0, 2.0]), "channels"),
+    ("--channels", replaced([0, 1, 0, 0], {"re": 1.0, "im": 0.0}), "channels"),
+    ("--channels", replaced([0, 1, 0, 0, 0], 10 ** 400), "channels"),
+    ("--solution", replaced(["V", 0, 0, 0, 0], "1.5"), "solution"),
+    ("--solution", replaced(["V", 0, 1], [[0.0, 0.0]]), "solution"),
+], ids=["channels-of-ints", "solution-V-int", "solution-without-U",
+        "channels-string-entry", "channels-null-entry", "channels-triple-entry",
+        "channels-single-entry", "channels-ragged-row", "channels-flat-matrix",
+        "channels-dict-entry", "channels-int-beyond-float", "solution-string-entry",
+        "solution-ragged-row"])
+def test_malformed_json_input_exits_2(tmp_path, capsys, flag, edit, what):
     paths = write_witness_with_stray_entry(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(edit(json.loads(paths[flag[2:]].read_text()))))
     inputs = {"--channels": paths["channels"], "--solution": paths["solution"], flag: bad}
     args = ["verify", "--config", str(paths["config"])]
     for name, path in inputs.items():
@@ -211,6 +239,17 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, flag, doc, what):
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed {what} document: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [[True, False], [1, 0]], ids=["bool", "int"])
+def test_bool_and_int_channel_entries_are_numbers(tmp_path, entry):
+    paths = write_witness_with_stray_entry(tmp_path)
+    doc = json.loads(paths["channels"].read_text())
+    doc[0][1][0][0] = entry  # on the diagonal: a free entry
+    paths["channels"].write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(paths["config"]), "--channels",
+                 str(paths["channels"]), "--solution", str(paths["solution"]),
+                 "--out", str(tmp_path / "o.json")]) == 0
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
@@ -574,8 +613,9 @@ def test_flags_a_subcommand_would_ignore_are_rejected(args, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def parsed_flags_left_unread(argv):
-    """Dests that ``argv``'s parse sets and one run of the subcommand never reads."""
+def run_recording_reads(argv):
+    """One run of ``argv``'s subcommand: its JSON payload, and the dests that
+    ``argv``'s parse sets and the run never reads."""
     args = build_parser().parse_args(argv)
     reads = set()
 
@@ -585,8 +625,9 @@ def parsed_flags_left_unread(argv):
             return super().__getattribute__(name)
 
     recording = RecordingNamespace(**vars(args))
-    _emit(recording, *recording.run(recording))
-    return set(vars(args)) - reads - {"command", "run"}
+    result = recording.run(recording)
+    _emit(recording, *result)
+    return result[0], set(vars(args)) - reads - {"command", "run"}
 
 
 def test_every_parsed_flag_is_read(tmp_path):
@@ -606,10 +647,30 @@ def test_every_parsed_flag_is_read(tmp_path):
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert set(runs) == set(subparsers.choices)
-    out = ["--out", str(tmp_path / "out")]
-    unread = {name: parsed_flags_left_unread([name] + argv + out)
-              for name, argv in runs.items()}
-    assert unread == {name: set() for name in runs}
+    results = {name: run_recording_reads([name] + argv + ["--out", str(tmp_path / name)])
+               for name, argv in runs.items()}
+    assert {name: unread for name, (_, unread) in results.items()} == \
+        {name: set() for name in runs}
+    # every JSON report is the stdlib's indented encoding, byte for byte
+    for name, (payload, _) in results.items():
+        if payload is not None:
+            assert (tmp_path / name).read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+           | st.sampled_from([0.0, -0.0, float("inf"), -float("inf"), float("nan")]))
+matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                           min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .map(lambda z: _matrix_to_json(np.array(z, dtype=complex).reshape(shape))))
+
+
+@given(st.recursive(scalars | matrices,
+                    lambda children: st.lists(children) | st.lists(children).map(tuple)
+                    | st.dictionaries(st.text(), children),
+                    max_leaves=20))
+def test_json_writer_matches_the_stdlib(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
 def test_console_script_smoke(tmp_path):
@@ -623,20 +684,31 @@ def test_console_script_smoke(tmp_path):
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts["align-lab"] == "align_lab.cli:main"
 
-    args = ["cj-params", "--K", "3", "--n", "1:3"]
+    # Calls made earlier in this process leave nothing behind in the shared
+    # parser or the JSON writer.
+    paths = write_witness_with_stray_entry(tmp_path)
+    assert main(["verify", "--config", str(paths["config"]), "--channels",
+                 str(paths["channels"]), "--solution", str(paths["solution"]),
+                 "--out", str(tmp_path / "verify.json")]) == 0
+    assert main(["probe", "--config", str(paths["config"]), "--draws", "2",
+                 "--out", str(tmp_path / "probe.json")]) == 0
+
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(align_lab.__file__).parent.parent),
                     env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "align_lab.cli", *args],
-                          capture_output=True, env=env, cwd=tmp_path,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-    doc = json.loads(proc.stdout)
-    assert doc["rows"][0]["N_s"] == 3
-    out = tmp_path / "out.json"
-    assert main(args + ["--out", str(out)]) == 0
-    assert proc.stdout == out.read_bytes()
+    stdout = {}
+    for args in (["cj-params", "--K", "3", "--n", "1:3"],
+                 ["cj3", "--n", "2", "--seed", "5"]):
+        proc = subprocess.run([sys.executable, "-m", "align_lab.cli", *args],
+                              capture_output=True, env=env, cwd=tmp_path,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        out = tmp_path / "out.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert proc.stdout == out.read_bytes()
+        stdout[args[0]] = proc.stdout
+    assert json.loads(stdout["cj-params"])["rows"][0]["N_s"] == 3
 
 
 @pytest.mark.skipif(shutil.which("align-lab") is None,

@@ -143,6 +143,14 @@ def test_min_improper_threshold_agreement():
         assert not is_proper(cj_config(k, n_star)).proper
 
 
+def test_min_improper_n_bisection_matches_a_linear_sweep():
+    for k in range(3, 13):
+        flags = [improper_by_threshold(k, n) for n in range(1, 151)]
+        for n_max in range(1, 151):
+            linear = next((n for n in range(1, n_max + 1) if flags[n - 1]), None)
+            assert min_improper_n(k, n_max) == linear, (k, n_max)
+
+
 def test_improper_configuration_counts_at_the_flip():
     rep = is_proper(cj_config(4, 5))
     assert rep.N_e == 204_393_750

@@ -387,6 +387,13 @@ def test_solution_json_round_trip_is_exact():
         assert np.array_equal(a, b)
 
 
+def test_json_matrices_keep_the_sign_of_zero():
+    sol = solution_from_json({"V": [[[[-0.0, 0.0]]], [[[0.0, -0.0]]]],
+                              "U": [[[[-0.0, -0.0]]], [[[1.0, -0.0]]]]})
+    got = np.signbit(np.concatenate([m.view(float).ravel() for m in sol.V + sol.U]))
+    assert got.tolist() == [True, False, False, True, True, True, False, True]
+
+
 @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 64 - 1))
 def test_any_symmetric_diagonal_config_survives_json(k, n_s, seed):
     d = min(1, n_s)
