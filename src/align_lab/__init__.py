@@ -10,14 +10,13 @@ from .counting import (CjParameters, PropernessReport, cj_parameters, equation_c
                        symmetric_bound, tdma_baseline, variable_count)
 from .cj3 import Cj3Instance, build_instance, construct
 from .errors import (AlignLabError, DegenerateSpan, DimensionMismatch, InvalidSpec,
-                     RankDeficient, SingularChannel, SingularGaugeBlock,
-                     StreamOverflow)
+                     RankDeficient, SingularChannel, StreamOverflow)
 from .model import (ChannelSet, ChannelStructure, IaSolution, StructureKind,
                     SystemConfig, block_diagonal_config, diagonal_config,
                     generic_config, sample_channels)
 from .probe import ProbeReport, run_probe
 from .solve import Classification, FeasibilityVerdict, SolverOptions, classify
-from .verify import VerificationResult, check, normalize_gauge
+from .verify import VerificationResult, check
 
 __version__ = "0.1.0"
 
@@ -25,12 +24,12 @@ __all__ = [
     "AlignLabError", "ChannelSet", "ChannelStructure", "Cj3Instance",
     "CjParameters", "Classification", "DegenerateSpan", "DimensionMismatch",
     "FeasibilityVerdict", "IaSolution", "InvalidSpec", "ProbeReport",
-    "PropernessReport", "RankDeficient", "SingularChannel", "SingularGaugeBlock",
+    "PropernessReport", "RankDeficient", "SingularChannel",
     "SolverOptions", "StreamOverflow", "StructureKind", "SystemConfig",
     "VerificationResult", "block_diagonal_config",
     "build_instance", "check", "cj_parameters", "classify",
     "construct", "diagonal_config", "equation_count", "generic_config",
     "improper_by_threshold", "is_proper", "min_improper_n",
-    "normalize_gauge", "run_probe", "sample_channels", "symmetric_bound",
+    "run_probe", "sample_channels", "symmetric_bound",
     "tdma_baseline", "variable_count", "__version__",
 ]

@@ -26,10 +26,9 @@ from . import cj3 as cj3_mod
 from .counting import (cj_config, cj_parameters, improper_by_threshold, is_proper,
                        min_improper_n, symmetric_bound, tdma_baseline)
 from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficient,
-                     SingularChannel, SingularGaugeBlock, StreamOverflow)
-from .model import (ChannelSet, SystemConfig, _JsonMatrix, channels_from_json,
-                    channels_to_json, config_from_json, config_to_json, cross_pairs,
-                    pair_support, sample_channels, solution_from_json, solution_to_json)
+                     SingularChannel, StreamOverflow)
+from .model import (ChannelSet, IaSolution, SystemConfig, config_from_json,
+                    config_to_json, cross_pairs, pair_support, sample_channels)
 from .probe import run_probe
 from .solve import SolverOptions, classify
 from .verify import TOL_ALIGN, VerificationResult, check
@@ -66,7 +65,8 @@ def _load_channels(args: argparse.Namespace, cfg: SystemConfig) -> ChannelSet:
     """Channels from --channels, read into ``cfg``'s layout, or sampled from ``cfg``."""
     if args.channels is None:
         return sample_channels(cfg)
-    return channels_from_json(_load_json(args.channels), cfg)
+    matrices = _matrices_from_json(_load_json(args.channels), "channels")
+    return ChannelSet.from_dense(cfg, matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,8 @@ def cmd_cj3(args: argparse.Namespace):
         "d_bar": exact, "d_bar_value": value, "exceeds_tdma": exceeds_tdma,
         "verification": _verification_json(res),
         "config": config_to_json(cj_config(3, args.n, seed=args.seed)),
-        "channels": channels_to_json(inst.channels),
-        "solution": solution_to_json(inst.solution),
+        "channels": [list(row) for row in inst.channels.matrices],
+        "solution": {"V": inst.solution.V, "U": inst.solution.U},
     }
     row = {"n": p.n, "N_s": p.N_s, "seed": args.seed, **_verification_row(res),
            "d_bar": exact, "d_bar_value": value, "exceeds_tdma": exceeds_tdma}
@@ -209,7 +209,8 @@ def cmd_solve(args: argparse.Namespace):
 def cmd_verify(args: argparse.Namespace):
     cfg = _load_config(args.config, args.seed)
     ch = _load_channels(args, cfg)
-    sol = solution_from_json(_load_json(args.solution))
+    V, U = _matrices_from_json(_load_json(args.solution), "solution", ("V", "U"))
+    sol = IaSolution(V=V, U=U)
     for k, (got, want) in enumerate(zip(sol.d, cfg.d)):
         if got != want:
             raise DimensionMismatch(f"user {k}: the solution has {got} streams, "
@@ -275,6 +276,79 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
                     terms.append("*".join(factors))
                 lines.append(" + ".join(terms) if terms else "(0.0,0.0)")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON: a complex matrix is rows of [re, im] pairs, written and read here alone
+
+def _matrix_text(m: np.ndarray, indent: str) -> str:
+    """A complex matrix as rows of [re, im] pairs, as ``json.dumps(indent=2)`` writes
+    those nested lists at the line prefix ``indent``, filled into one template."""
+    r, c = m.shape
+    in1, in2, in3 = indent + "  ", indent + "    ", indent + "      "
+    pair = f"{in2}[{in3}%s,{in3}%s{in2}]"
+    row = f"[{','.join([pair] * c)}{in1}]" if c else "[]"
+    template = f"[{','.join([in1 + row] * r)}{indent}]" if r else "[]"
+    # model._frozen keeps every entry finite, and for a finite float json
+    # writes float.__repr__
+    floats = np.ascontiguousarray(m).view(float)
+    return template % tuple(map(float.__repr__, floats.ravel().tolist()))
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, default=...)``, byte for byte, where ``default``
+    turns a complex matrix into nested [re, im] lists; matrices are written in bulk.
+
+    Dicts, lists and tuples recurse; each key and scalar goes through
+    ``json.dumps``; a complex matrix (an ``np.ndarray``) goes through
+    ``_matrix_text``.
+    """
+    if isinstance(value, np.ndarray):
+        return _matrix_text(value, indent)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        # json.dumps({k: 0}) is '{<k>: 0}': the key under json's own rules
+        items = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        open_, close = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        open_, close = "[", "]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return open_ + close
+    return f"{open_}{inner}{(',' + inner).join(items)}{indent}{close}"
+
+
+def _matrix_from_json(rows) -> np.ndarray:
+    """The complex matrix that ``_json_text`` wrote as rows of [re, im] pairs, every bit kept.
+
+    ValueError unless ``rows`` is a rectangle of [re, im] pairs of numbers
+    or booleans. An empty matrix passes through for the caller's shape
+    checks to name.
+    """
+    a = np.array(rows)
+    if a.size == 0 and a.ndim < 3:
+        return a.astype(complex)
+    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2:
+        raise ValueError(f"expected rows of [re, im] number pairs, got {a.dtype} "
+                         f"entries of shape {a.shape}")
+    return a.astype(float).view(complex)[..., 0]
+
+
+def _matrices_from_json(doc, what: str, keys: tuple[str, ...] | None = None
+                        ) -> list[list[np.ndarray]]:
+    """Lists of matrices: ``doc`` itself, or its entries under ``keys`` in order.
+
+    DimensionMismatch, naming a malformed ``what`` document, when one is
+    missing or is not a list of matrices.
+    """
+    try:
+        return [[_matrix_from_json(m) for m in entries]
+                for entries in (doc if keys is None else (doc[key] for key in keys))]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed {what} document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -356,44 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _matrix_text(floats: np.ndarray, indent: str) -> str:
-    """An (r, c, 2) float array's nested lists as ``json.dumps(indent=2)`` writes them
-    at the line prefix ``indent``, filled into one template."""
-    r, c, _ = floats.shape
-    in1, in2, in3 = indent + "  ", indent + "    ", indent + "      "
-    pair = f"{in2}[{in3}%s,{in3}%s{in2}]"
-    row = f"[{','.join([pair] * c)}{in1}]" if c else "[]"
-    template = f"[{','.join([in1 + row] * r)}{indent}]" if r else "[]"
-    # model._frozen keeps every entry finite, and for a finite float json
-    # writes float.__repr__
-    return template % tuple(map(float.__repr__, floats.ravel().tolist()))
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, with matrices written in bulk.
-
-    Dicts, lists and tuples recurse; each key and scalar goes through
-    ``json.dumps``; a ``model._matrix_to_json`` matrix is written from its
-    float array by ``_matrix_text``.
-    """
-    if isinstance(value, _JsonMatrix):
-        return _matrix_text(value.floats, indent)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        # json.dumps({k: 0}) is '{<k>: 0}': the key under json's own rules
-        items = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
-                 for k, v in value.items()]
-        open_, close = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
-        open_, close = "[", "]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return open_ + close
-    return f"{open_}{inner}{(',' + inner).join(items)}{indent}{close}"
-
-
 def _emit(args: argparse.Namespace, payload, rows, text) -> None:
     if text is None:
         if args.fmt == "json":
@@ -416,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args, *args.run(args))
-    except (SingularChannel, DegenerateSpan, RankDeficient, SingularGaugeBlock,
+    except (SingularChannel, DegenerateSpan, RankDeficient,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

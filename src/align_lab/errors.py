@@ -17,10 +17,6 @@ class RankDeficient(AlignLabError):
     """A precoder or decoder matrix does not have full column rank."""
 
 
-class SingularGaugeBlock(AlignLabError):
-    """The leading d_k x d_k block needed for gauge normalization is numerically singular."""
-
-
 class SingularChannel(AlignLabError):
     """A diagonal channel entry is zero, so the required channel inverses do not exist."""
 

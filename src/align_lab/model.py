@@ -43,10 +43,6 @@ __all__ = [
     "block_diagonal_config",
     "config_to_json",
     "config_from_json",
-    "channels_to_json",
-    "channels_from_json",
-    "solution_to_json",
-    "solution_from_json",
 ]
 
 
@@ -482,69 +478,3 @@ def config_from_json(doc: dict) -> SystemConfig:
                             M=doc.get("M"), seed=doc.get("seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed config document: {exc}") from exc
-
-
-class _JsonMatrix(list):
-    """A matrix as JSON-ready rows of [re, im] pairs that also carries them as
-    ``floats``, the (r, c, 2) float array, so a writer can format it in bulk.
-
-    The nested lists are a snapshot: editing them does not reach ``floats``.
-    """
-
-    __slots__ = ("floats",)
-
-
-def _matrix_to_json(h: np.ndarray) -> _JsonMatrix:
-    floats = np.ascontiguousarray(h, dtype=complex)
-    floats = floats.view(float).reshape(*floats.shape, 2)
-    m = _JsonMatrix(floats.tolist())
-    m.floats = floats
-    return m
-
-
-def _matrix_from_json(rows: list) -> np.ndarray:
-    """The complex matrix that ``_matrix_to_json`` wrote, every bit kept.
-
-    ValueError unless ``rows`` is a rectangle of [re, im] pairs of numbers
-    or booleans. An empty matrix passes through for the shape checks of the
-    caller to name.
-    """
-    a = np.array(rows)
-    if a.size == 0 and a.ndim < 3:
-        return a.astype(complex)
-    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2:
-        raise ValueError(f"expected rows of [re, im] number pairs, got {a.dtype} "
-                         f"entries of shape {a.shape}")
-    return a.astype(float).view(complex)[..., 0]
-
-
-def channels_to_json(ch: ChannelSet) -> list:
-    """K x K array of dense row-major matrices, entries as [re, im] pairs."""
-    return [[_matrix_to_json(ch.matrices[j][k]) for k in range(ch.K)]
-            for j in range(ch.K)]
-
-
-def channels_from_json(doc: list, cfg: SystemConfig) -> ChannelSet:
-    """Channels in ``cfg``'s layout from ``channels_to_json``'s dense matrices.
-
-    ``ChannelSet.from_dense`` checks them against ``cfg``.
-    """
-    try:
-        matrices = [[_matrix_from_json(m) for m in row] for row in doc]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"malformed channels document: {exc}") from exc
-    return ChannelSet.from_dense(cfg, matrices)
-
-
-def solution_to_json(sol: IaSolution) -> dict:
-    return {"V": [_matrix_to_json(v) for v in sol.V],
-            "U": [_matrix_to_json(u) for u in sol.U]}
-
-
-def solution_from_json(doc: dict) -> IaSolution:
-    try:
-        vs = tuple(_matrix_from_json(m) for m in doc["V"])
-        us = tuple(_matrix_from_json(m) for m in doc["U"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"malformed solution document: {exc}") from exc
-    return IaSolution(V=vs, U=us)

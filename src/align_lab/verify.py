@@ -15,20 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, SingularGaugeBlock
+from .errors import DimensionMismatch, RankDeficient
 from .model import ChannelSet, IaSolution, cross_pairs
 from .subspaces import numerical_rank, orthonormal_columns
 
 __all__ = [
     "TOL_ALIGN",
-    "GAUGE_COND_MAX",
     "VerificationResult",
     "check",
-    "normalize_gauge",
 ]
 
 TOL_ALIGN = 1e-8            # absolute threshold on the normalized leakage
-GAUGE_COND_MAX = 1e12       # condition limit for gauge top blocks
 
 
 @dataclass(frozen=True)
@@ -112,27 +109,3 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     return VerificationResult(leakage=leak, min_cross_residual=worst,
                               direct_ranks=ranks, aligned=leak <= tol_align,
                               rank_ok=rank_ok, tol_align=tol_align)
-
-
-def _gauge_one(mat: np.ndarray, what: str, user: int) -> np.ndarray:
-    d = mat.shape[1]
-    top = mat[:d, :]
-    s = np.linalg.svd(top, compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0 or s[0] / s[-1] > GAUGE_COND_MAX:
-        cond = float("inf") if s.size == 0 or s[-1] == 0.0 else float(s[0] / s[-1])
-        raise SingularGaugeBlock(f"user {user} {what}: top {d}x{d} block has "
-                                 f"condition {cond:.3g} (limit {GAUGE_COND_MAX:.3g})")
-    return mat @ np.linalg.inv(top)
-
-
-def normalize_gauge(sol: IaSolution) -> IaSolution:
-    """Equivalent solution whose first d_k rows of each U^[k], V^[k] are identity.
-
-    Right-multiplying a precoder or decoder by any invertible d_k x d_k
-    matrix preserves the spanned subspaces, hence the leakage; this picks the
-    unique representative with an identity top block. Raises
-    SingularGaugeBlock when a top block's condition exceeds GAUGE_COND_MAX.
-    """
-    vs = tuple(_gauge_one(v, "precoder", k) for k, v in enumerate(sol.V))
-    us = tuple(_gauge_one(u, "decoder", k) for k, u in enumerate(sol.U))
-    return IaSolution(V=vs, U=us)

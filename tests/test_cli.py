@@ -20,19 +20,17 @@ from hypothesis import strategies as st
 import align_lab
 from align_lab.cli import _emit, _json_text, build_parser, main
 from align_lab.model import (
-    _matrix_to_json,
+    IaSolution,
     block_diagonal_config,
     config_from_json,
     config_to_json,
     diagonal_config,
     generic_config,
     sample_channels,
-    solution_to_json,
     substream,
 )
 from align_lab.probe import draw_random_solution
 from align_lab.solve import SolverOptions, _minimize_runs
-from align_lab.verify import normalize_gauge
 
 
 def schema(name):
@@ -44,6 +42,15 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config_to_json(cfg)))
     return str(path)
+
+
+def pairs(m):
+    """The stdlib reference for a complex matrix: nested [re, im] lists."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def solution_text(sol):
+    return _json_text({"V": sol.V, "U": sol.U})
 
 
 def run_json(tmp_path, args, out="out.json"):
@@ -279,7 +286,7 @@ def test_verify_reports_misalignment_without_failing(tmp_path):
     sol = _minimize_runs([sample_channels(cfg)], cfg.d,
                          SolverOptions(max_iters=1), [rng])[0][0]
     sol_path = tmp_path / "sol.json"
-    sol_path.write_text(json.dumps(solution_to_json(sol)))
+    sol_path.write_text(solution_text(sol))
     doc = run_json(tmp_path, ["verify", "--config", cfg_path,
                               "--solution", str(sol_path), "--seed", "999"])
     assert doc["result"]["aligned"] is False  # wrong channels; the check still ran
@@ -326,8 +333,11 @@ def test_export_poly_evaluates_to_the_cross_terms(tmp_path):
                 if l and not l.startswith("#")]
 
         ch = sample_channels(cfg)
-        sol = normalize_gauge(_minimize_runs([ch], cfg.d, SolverOptions(max_iters=3),
-                                             [substream(8, 5)])[0][0])
+        sol = _minimize_runs([ch], cfg.d, SolverOptions(max_iters=3),
+                             [substream(8, 5)])[0][0]
+        # export-poly's gauge: the first d_k rows of every matrix are identity
+        sol = IaSolution(V=[m @ np.linalg.inv(m[:m.shape[1]]) for m in sol.V],
+                         U=[m @ np.linalg.inv(m[:m.shape[1]]) for m in sol.U])
         values = {}
         for k, (v, u) in enumerate(zip(sol.V, sol.U)):
             for r in range(v.shape[0]):
@@ -437,7 +447,7 @@ def test_negative_seed_is_named(tmp_path, capsys, command):
     cfg = generic_config(3, 2, 1)
     cfg_path = write_config(tmp_path, cfg)
     sol_path = tmp_path / "sol.json"
-    sol_path.write_text(json.dumps(solution_to_json(draw_random_solution(cfg, substream(0, 1)))))
+    sol_path.write_text(solution_text(draw_random_solution(cfg, substream(0, 1))))
     args = {"solve": ["--config", cfg_path, "--trials", "1", "--max-iters", "2"],
             "probe": ["--config", cfg_path, "--draws", "1"],
             "cj3": ["--n", "1"],
@@ -488,7 +498,7 @@ def test_verify_rejects_a_solution_for_other_stream_counts(tmp_path, capsys):
                                   SolverOptions(max_iters=2000), [substream(0, 5)])[0]
     assert traj[-1] < 1e-12
     sol_path = tmp_path / "sol.json"
-    sol_path.write_text(json.dumps(solution_to_json(sol)))
+    sol_path.write_text(solution_text(sol))
     args = ["verify", "--solution", str(sol_path), "--out", str(tmp_path / "o.json")]
     # the same channels (same seed), and the config the solution was solved for
     assert main([*args, "--config", write_config(tmp_path, solved, "d1.json")]) == 0
@@ -526,7 +536,7 @@ def test_exit_code_for_numerical_failure(tmp_path):
     rng = substream(0, 9)
     sol = _minimize_runs([sample_channels(cfg)], cfg.d,
                          SolverOptions(max_iters=1), [rng])[0][0]
-    broken = solution_to_json(sol)
+    broken = json.loads(solution_text(sol))
     # duplicated precoder column: rank 1 < d=2 at user 0
     broken["V"][0][0] = broken["V"][0][0][:2] * 1
     for row in range(3):
@@ -654,7 +664,8 @@ def test_every_parsed_flag_is_read(tmp_path):
     # every JSON report is the stdlib's indented encoding, byte for byte
     for name, (payload, _) in results.items():
         if payload is not None:
-            assert (tmp_path / name).read_text() == json.dumps(payload, indent=2) + "\n"
+            assert (tmp_path / name).read_text() == \
+                json.dumps(payload, indent=2, default=pairs) + "\n"
 
 
 scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -662,7 +673,7 @@ scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
     lambda shape: st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
                            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
-    .map(lambda z: _matrix_to_json(np.array(z, dtype=complex).reshape(shape))))
+    .map(lambda z: np.array(z, dtype=complex).reshape(shape)))
 
 
 @given(st.recursive(scalars | matrices,
@@ -670,7 +681,7 @@ matrices = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
                     | st.dictionaries(st.text(), children),
                     max_leaves=20))
 def test_json_writer_matches_the_stdlib(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2)
+    assert _json_text(doc) == json.dumps(doc, indent=2, default=pairs)
 
 
 def test_console_script_smoke(tmp_path):

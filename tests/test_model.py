@@ -1,5 +1,6 @@
 """Configuration, sampling, and serialization round-trips."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from align_lab.cli import _json_text, _matrices_from_json
 from align_lab.counting import dim_channel_space
 from align_lab.errors import DimensionMismatch, InvalidSpec, StreamOverflow
 from align_lab.model import (
@@ -15,8 +17,6 @@ from align_lab.model import (
     StructureKind,
     SystemConfig,
     block_diagonal_config,
-    channels_from_json,
-    channels_to_json,
     complex_normal,
     config_from_json,
     config_to_json,
@@ -25,8 +25,6 @@ from align_lab.model import (
     generic_config,
     pair_support,
     sample_channels,
-    solution_from_json,
-    solution_to_json,
     substream,
 )
 
@@ -368,10 +366,13 @@ def test_config_json_round_trip(cfg):
     assert config_from_json(config_to_json(cfg)) == cfg
 
 
+# channel and solution files are written and read by the CLI alone
+
 def test_channels_json_round_trip_is_exact():
     for cfg in (generic_config(3, (2, 3, 2), 1, seed=21), *SHAPES[2:]):
         ch = sample_channels(cfg)
-        back = channels_from_json(channels_to_json(ch), cfg)
+        doc = json.loads(_json_text([list(row) for row in ch.matrices]))
+        back = ChannelSet.from_dense(cfg, _matrices_from_json(doc, "channels"))
         assert (back.N, back.structure, back.M) == (ch.N, ch.structure, ch.M)
         assert all(np.array_equal(a, b) for ra, rb in zip(ch.free, back.free)
                    for a, b in zip(ra, rb))
@@ -381,17 +382,21 @@ def test_solution_json_round_trip_is_exact():
     rng = substream(17, 0)
     sol = IaSolution(V=(complex_normal(rng, 4, 2), complex_normal(rng, 3, 1)),
                      U=(complex_normal(rng, 4, 2), complex_normal(rng, 3, 1)))
-    back = solution_from_json(solution_to_json(sol))
+    doc = json.loads(_json_text({"V": sol.V, "U": sol.U}))
+    back = IaSolution(*_matrices_from_json(doc, "solution", ("V", "U")))
     assert back.d == sol.d
     for a, b in zip(back.V + back.U, sol.V + sol.U):
         assert np.array_equal(a, b)
 
 
 def test_json_matrices_keep_the_sign_of_zero():
-    sol = solution_from_json({"V": [[[[-0.0, 0.0]]], [[[0.0, -0.0]]]],
-                              "U": [[[[-0.0, -0.0]]], [[[1.0, -0.0]]]]})
+    doc = {"V": [[[[-0.0, 0.0]]], [[[0.0, -0.0]]]],
+           "U": [[[[-0.0, -0.0]]], [[[1.0, -0.0]]]]}
+    sol = IaSolution(*_matrices_from_json(doc, "solution", ("V", "U")))
     got = np.signbit(np.concatenate([m.view(float).ravel() for m in sol.V + sol.U]))
     assert got.tolist() == [True, False, False, True, True, True, False, True]
+    # and the writer puts them back as they were read
+    assert _json_text({"V": sol.V, "U": sol.U}) == json.dumps(doc, indent=2)
 
 
 @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 64 - 1))

@@ -1,4 +1,4 @@
-"""Alignment verifier: leakage metric, rank verdicts, gauge normalization."""
+"""Alignment verifier: leakage metric and rank verdicts."""
 
 import json
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from align_lab.cj3 import build_instance
 from align_lab.cli import _verification_json
-from align_lab.errors import RankDeficient, SingularGaugeBlock
+from align_lab.errors import RankDeficient
 from align_lab.model import (
     ChannelSet,
     IaSolution,
@@ -19,7 +19,7 @@ from align_lab.model import (
     sample_channels,
     substream,
 )
-from align_lab.verify import check, normalize_gauge
+from align_lab.verify import check
 
 
 def identity_case(k=2, n=2, d=1):
@@ -100,35 +100,6 @@ def test_scaling_does_not_change_leakage():
     scaled = IaSolution(V=tuple(17.0 * v for v in sol.V),
                         U=tuple(0.01 * u for u in sol.U))
     assert abs(check(ch, sol).leakage - check(ch, scaled).leakage) < 1e-12
-
-
-def test_normalize_gauge_puts_identity_on_top():
-    rng = substream(3, 11)
-    v = complex_normal(rng, 3, 1)
-    sol = IaSolution(V=(v,), U=(complex_normal(rng, 3, 1),))
-    out = normalize_gauge(sol)
-    assert np.allclose(out.V[0][0, 0], 1.0)
-    assert np.allclose(out.U[0][0, 0], 1.0)
-
-
-def test_normalize_gauge_preserves_leakage():
-    inst = build_instance(2, seed=77)
-    normalized = normalize_gauge(inst.solution)
-    before = check(inst.channels, inst.solution).leakage
-    after = check(inst.channels, normalized).leakage
-    assert abs(before - after) < 1e-10
-    for k in range(3):
-        top = normalized.V[k][: inst.solution.d[k]]
-        assert np.allclose(top, np.eye(inst.solution.d[k]), atol=1e-9)
-
-
-def test_normalize_gauge_rejects_singular_top_block():
-    v = np.zeros((3, 1), dtype=complex)
-    v[1, 0] = 1.0
-    v[2, 0] = 1.0
-    sol = IaSolution(V=(v,), U=(np.ones((3, 1), dtype=complex),))
-    with pytest.raises(SingularGaugeBlock):
-        normalize_gauge(sol)
 
 
 def test_result_serialization_round_trips_through_json():
