@@ -11,12 +11,13 @@ explicitly.
 Writing t for the elementwise ratio that chains all six cross channels into
 a loop, the precoder of user 1 spans the order-(n+1) Krylov space of diag(t)
 applied to a magnitude-balancing seed vector, and users 2 and 3 use rescaled
-copies of the order-n subspace. That choice makes the interference seen at receiver 1 from
-users 2 and 3 literally identical, and the interference at receivers 2 and 3
-fall inside the image of user 1's span. Decoders are then nullspace bases of
-the stacked interference. The construction is accepted by the verifier, not
-by the derivation: tests re-check the three span conditions and the residual
-on every instance.
+copies of the order-n subspace. That choice makes the interference seen at
+receiver 1 from users 2 and 3 literally identical, and the interference at
+receivers 2 and 3 fall inside the image of user 1's span. So one product
+spans each receiver's interference, and its decoder is the orthogonal
+complement of that product, read off a complete QR. The construction is
+accepted by the verifier, not by the derivation: tests re-check the three
+span conditions and the residual on every instance.
 """
 
 from __future__ import annotations
@@ -114,8 +115,10 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
       (b) colspan(H[1][2] V3) in colspan(H[1][0] V1)  at receiver 1,
       (c) colspan(H[2][1] V2) in colspan(H[2][0] V1)  at receiver 2.
 
-    Decoders are orthonormal bases of the orthogonal complement of the
-    stacked interference at each receiver.
+    By (a)-(c) the interference at receiver 0 spans colspan(H[0][1] V2) and
+    at receivers 1 and 2 spans colspan(H[k][0] V1). Each decoder is the
+    trailing N_s - r columns of a complete QR of that one N_s x r product,
+    so it moves only in its last bits when the channels do.
     """
     p = cj_parameters(3, n)
     h = _diagonals(ch)
@@ -135,27 +138,13 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
     if rank2 < n or rank3 < n:
         raise DegenerateSpan(f"rescaled precoders lost rank ({rank2}, {rank3} < {n})")
 
-    v = (v1, v2, v3)
-    d = p.d
+    # receiver k's interference span, by (a)-(c): H[k][j] V_j for this j
     us = []
-    for k in range(3):
-        others = [j for j in range(3) if j != k]
-        stack = np.hstack([h[k][j][:, None] * v[j] for j in others])
-        # by construction the interference spans exactly n_s - d_k dimensions
-        # (n at receiver 0, where two aligned blocks overlap; n+1 elsewhere);
-        # slice the complement at that known rank instead of thresholding,
-        # and call the channels degenerate only when the first discarded
-        # singular value is far from the rounding floor
-        rank_int = n_s - d[k]
-        u_svd, s, _ = np.linalg.svd(stack, full_matrices=True)
-        if s[rank_int] > 1e-7 * s[0]:
-            raise DegenerateSpan(
-                f"receiver {k}: interference is not confined to {rank_int} of "
-                f"{n_s} dimensions (residual ratio {s[rank_int] / s[0]:.2e}), "
-                f"leaving fewer than d_k={d[k]} for the signal")
-        us.append(u_svd[:, rank_int:])
+    for k, (j, vj) in enumerate(((1, v2), (0, v1), (0, v1))):
+        w = h[k][j][:, None] * vj
+        us.append(np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:])
 
-    return IaSolution(V=v, U=tuple(us))
+    return IaSolution(V=(v1, v2, v3), U=tuple(us))
 
 
 def build_instance(n: int, seed: int = 0) -> Cj3Instance:

@@ -21,7 +21,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -260,13 +260,20 @@ def _frozen(a, what: str) -> np.ndarray:
     return a
 
 
-def _check_rows(rows: Sequence[Sequence], K: int) -> None:
-    """Raise DimensionMismatch unless ``rows`` is K rows of K entries each."""
-    if len(rows) != K:
-        raise DimensionMismatch(f"{len(rows)} channel rows for K={K}")
-    for j, row in enumerate(rows):
-        if len(row) != K:
-            raise DimensionMismatch(f"channel row {j} has {len(row)} entries for K={K}")
+def _counted(items: Iterable, K: int, row: int | None = None) -> Iterator[tuple[int, object]]:
+    """``enumerate(items)``, raising DimensionMismatch unless exactly K items come.
+
+    ``items`` are the channel rows, or with ``row`` that row's entries. Items
+    past the K-th are counted for the message, never handed out.
+    """
+    it = iter(items)
+    count = 0
+    for count, item in zip(range(1, K + 1), it):
+        yield count - 1, item
+    count += sum(1 for _ in it)
+    if count != K:
+        raise DimensionMismatch(f"{count} channel rows for K={K}" if row is None else
+                                f"channel row {row} has {count} entries for K={K}")
 
 
 class _DenseRow(Sequence):
@@ -294,21 +301,21 @@ class ChannelSet:
 
     ``ChannelSet(shape, free)`` stores a read-only copy of each free-entry
     vector for ``shape``'s N, structure and M, so later edits to the inputs
-    never reach it.
+    never reach it. ``free`` may be any iterable of K rows of K vectors, a
+    generator included; each vector is copied as it arrives.
     ``ChannelSet.from_dense(cfg, matrices)`` gathers them from dense matrices.
     """
 
     __slots__ = ("N", "structure", "M", "free")
 
     def __init__(self, shape: SystemConfig | ChannelSet,
-                 free: Sequence[Sequence[np.ndarray]]) -> None:
+                 free: Iterable[Iterable[np.ndarray]]) -> None:
         for name in ("N", "structure", "M"):
             object.__setattr__(self, name, getattr(shape, name))
-        _check_rows(free, self.K)
         rows = []
-        for j, row in enumerate(free):
+        for j, row in _counted(free, self.K):
             vectors = []
-            for k, v in enumerate(row):
+            for k, v in _counted(row, self.K, j):
                 v = _frozen(v, f"H[{j}][{k}]")
                 size = _pair_size(self, j, k)
                 if v.shape != (size,):
@@ -327,27 +334,25 @@ class ChannelSet:
         ``cfg``'s, and, naming the pair and the entry, when an entry that
         ``cfg``'s structure confines to zero is nonzero.
         """
-        _check_rows(matrices, cfg.K)
-        free = []
-        for j, row in enumerate(matrices):
-            vectors = []
-            for k, h in enumerate(row):
-                h = np.asarray(h, dtype=complex)
-                if h.shape != (cfg.N[j], cfg.N[k]):
-                    raise DimensionMismatch(f"H[{j}][{k}] has shape {h.shape}, "
-                                            f"expected ({cfg.N[j]}, {cfg.N[k]})")
-                support = pair_support(cfg, j, k)
-                outside = h != 0
-                outside[support] = False
-                bad = np.flatnonzero(outside)
-                if bad.size:
-                    r, c = divmod(int(bad[0]), cfg.N[k])
-                    raise DimensionMismatch(
-                        f"H[{j}][{k}] has entry ({r}, {c}) = {complex(h[r, c])} "
-                        f"outside the {cfg.structure.kind.value} structure")
-                vectors.append(h[support])
-            free.append(vectors)
-        return cls(cfg, free)
+        def gathered(j: int, k: int, h) -> np.ndarray:
+            h = np.asarray(h, dtype=complex)
+            if h.shape != (cfg.N[j], cfg.N[k]):
+                raise DimensionMismatch(f"H[{j}][{k}] has shape {h.shape}, "
+                                        f"expected ({cfg.N[j]}, {cfg.N[k]})")
+            support = pair_support(cfg, j, k)
+            outside = h != 0
+            outside[support] = False
+            bad = np.flatnonzero(outside)
+            if bad.size:
+                r, c = divmod(int(bad[0]), cfg.N[k])
+                raise DimensionMismatch(
+                    f"H[{j}][{k}] has entry ({r}, {c}) = {complex(h[r, c])} "
+                    f"outside the {cfg.structure.kind.value} structure")
+            return h[support]
+
+        rows = list(_counted(matrices, cfg.K))  # count the rows before reading any matrix
+        return cls(cfg, ((gathered(j, k, h) for k, h in _counted(row, cfg.K, j))
+                         for j, row in rows))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ChannelSet is immutable; cannot set {name!r}")
@@ -387,12 +392,11 @@ def sample_channels(cfg: SystemConfig) -> ChannelSet:
 
     Every free entry is an independent CN(0, 1) draw from the (seed, j, k)
     substream, written straight into the pair's free-entry vector; confined
-    entries are exactly zero. The same config (seed included) always yields
-    a bit-identical channel set.
+    entries are exactly zero; each pair is drawn as ``ChannelSet`` takes it.
+    The same config (seed included) always yields a bit-identical channel set.
     """
-    free = [[complex_normal(substream(cfg.seed, j, k), _pair_size(cfg, j, k))
-             for k in range(cfg.K)] for j in range(cfg.K)]
-    return ChannelSet(cfg, free)
+    return ChannelSet(cfg, ((complex_normal(substream(cfg.seed, j, k), _pair_size(cfg, j, k))
+                             for k in range(cfg.K)) for j in range(cfg.K)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from align_lab.cj3 import Cj3Instance, build_instance, construct
-from align_lab.counting import cj_parameters, tdma_baseline
+from align_lab.counting import cj_config, cj_parameters, tdma_baseline
 from align_lab.errors import DegenerateSpan, DimensionMismatch, SingularChannel
 from align_lab.model import (
     ChannelSet,
@@ -58,8 +58,9 @@ def test_span_conditions_hold(n):
     assert span_rank(h[2][0] @ v1, h[2][1] @ v2) == n + 1
 
 
-def test_decoders_are_orthonormal_and_orthogonal_to_interference():
-    inst = build_instance(2, seed=3)
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_decoders_are_orthonormal_and_orthogonal_to_interference(n):
+    inst = build_instance(n, seed=3)
     h = inst.channels.matrices
     v = inst.solution.V
     for k, u in enumerate(inst.solution.U):
@@ -67,6 +68,21 @@ def test_decoders_are_orthonormal_and_orthogonal_to_interference():
         for j in range(3):
             if j != k:
                 assert np.max(np.abs(u.conj().T @ h[k][j] @ v[j])) < 1e-12
+
+
+def one_ulp_up(v):
+    return np.nextafter(v.real, np.inf) + 1j * np.nextafter(v.imag, np.inf)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_decoders_move_only_in_their_last_bits(n):
+    # each decoder is tied to its interference span, not to rounding noise:
+    # a one-ulp change to every channel entry barely moves it
+    cfg = cj_config(3, n, seed=0)
+    ch = sample_channels(cfg)
+    moved = ChannelSet(cfg, [[one_ulp_up(v) for v in row] for row in ch.free])
+    for a, b in zip(construct(ch, n).U, construct(moved, n).U):
+        assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_total_streams_fill_the_odd_dimension_plus_signal():

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import re
@@ -557,6 +558,31 @@ def test_outputs_are_bit_reproducible(tmp_path, args, out):
     assert main(args + ["--out", str(p1)]) == 0
     assert main(args + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# SHA-256 of each exact subcommand's output at the acceptance suite's flags;
+# integers, Fraction strings and correctly rounded floats give the same bytes
+# on every platform, so a changed digest is a changed output
+EXACT_FLAGS = {
+    "bounds": ["--K", "3:5", "--n", "1:4", "--M", "1:3"],
+    "cj-params": ["--K", "4", "--n", "1:6"],
+    "contradiction": ["--K", "4:5", "--n-max", "20"],
+}
+EXACT_DIGESTS = {
+    ("bounds", "json"): "58a50c17bc9e6449afdbec3330c265f679922f0aba1a47facafb9afbe6ef0b83",
+    ("bounds", "csv"): "47d32012129df6add5857080cb94d77c6c9bd45ec56d1aa6ccd77fb4aca8fd23",
+    ("cj-params", "json"): "96bdef4832a0cb64c521764a507e458372baf7b88dca04d64e78b205826039b7",
+    ("cj-params", "csv"): "f5a6d6377d491bb7a998bda3409954ed8740ff937fe31259e34ab61745ddc764",
+    ("contradiction", "json"): "58509232196ef7170e6792aa2fbe68d05e9fbfd81403fa94c8227497decd8d9a",
+    ("contradiction", "csv"): "53898a7f441d04f3ea20785704e4e8b8987fefb58ae694cc81b6383036d96700",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(EXACT_DIGESTS))
+def test_exact_subcommands_keep_their_bytes(tmp_path, command, fmt):
+    path = tmp_path / f"out.{fmt}"
+    assert main([command, *EXACT_FLAGS[command], "--format", fmt, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_DIGESTS[command, fmt]
 
 
 def test_probe_reproducible_and_seed_sensitive(tmp_path, monkeypatch):

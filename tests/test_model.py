@@ -1,6 +1,7 @@
 """Configuration, sampling, and serialization round-trips."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from align_lab.cli import _json_text, _matrices_from_json
-from align_lab.counting import dim_channel_space
+from align_lab.counting import cj_config, dim_channel_space
 from align_lab.errors import DimensionMismatch, InvalidSpec, StreamOverflow
 from align_lab.model import (
     ChannelSet,
@@ -248,6 +249,39 @@ def test_channel_set_copies_caller_arrays():
     assert all(w[0] == 1.0 for row in ch.free for w in row)
     assert all(np.array_equal(m, np.ones((2, 2))) for row in ch.matrices for m in row)
     assert not any(w.flags.writeable for row in ch.free for w in row)
+
+
+def test_channel_set_counts_rows_as_they_arrive():
+    cfg = generic_config(2, 2, 1)
+    v = np.ones(4, dtype=complex)
+    with pytest.raises(DimensionMismatch, match="^3 channel rows for K=2$"):
+        ChannelSet(cfg, ((v, v) for _ in range(3)))
+    with pytest.raises(DimensionMismatch, match="^1 channel rows for K=2$"):
+        ChannelSet(cfg, iter([iter([v, v])]))
+    with pytest.raises(DimensionMismatch, match="^channel row 1 has 4 entries for K=2$"):
+        ChannelSet(cfg, (iter([v, v]), iter([v] * 4)))
+    with pytest.raises(DimensionMismatch, match="^channel row 0 has 1 entries for K=2$"):
+        ChannelSet(cfg, [[v], [v, v]])
+    h = np.ones((2, 2), dtype=complex)
+    with pytest.raises(DimensionMismatch, match="^channel row 0 has 3 entries for K=2$"):
+        ChannelSet.from_dense(cfg, [[h, h, h], [h, h]])
+    ch = ChannelSet(cfg, ((v for _ in range(2)) for _ in range(2)))
+    assert all(np.array_equal(w, v) for row in ch.free for w in row)
+
+
+def test_sampling_copies_one_draw_at_a_time():
+    # a drawn vector and its stored copy coexist for one pair only, so the
+    # peak stays near the bytes held (2.0x when every draw outlived its copy)
+    cfg = cj_config(4, 5)
+    sample_channels(cj_config(3, 1))  # one-time set-up is no part of a draw
+    tracemalloc.start()
+    try:
+        ch = sample_channels(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(v.nbytes for row in ch.free for v in row)
+    assert peak < 1.5 * held
 
 
 def test_ia_solution_copies_caller_arrays():
