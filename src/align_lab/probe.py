@@ -20,7 +20,8 @@ import numpy as np
 from .counting import dim_channel_space
 from .model import (IaSolution, SystemConfig, _seed, complex_normal, cross_pairs,
                     pair_support, substream)
-from .subspaces import nullspace_basis, numerical_rank, orthonormal_columns
+from .solve import _BATCH_BYTES
+from .subspaces import _rank_from_singular_values, numerical_rank, orthonormal_columns
 
 __all__ = [
     "ProbeReport",
@@ -59,9 +60,12 @@ def pair_block(u: np.ndarray, v: np.ndarray, rows: np.ndarray,
     j, k)``. Row (m, n), n fastest, holds the expansion of entry (m, n) of
     (U^[j])^H H[j][k] V^[k]: conj(U^[j][t, m]) * V^[k][r, n] in the column
     of free entry (t, r). P is block-diagonal with these blocks, pairs in
-    lexicographic order.
+    lexicographic order. ``u`` and ``v`` may be stacks (..., N, d) with
+    broadcastable leading dimensions; the blocks are then (..., d_j d_k, f),
+    each equal to the block of its own U^[j] and V^[k].
     """
-    return (u.conj()[rows, :, None] * v[cols, None, :]).reshape(rows.size, -1).T
+    prod = u.conj()[..., rows, :, None] * v[..., cols, None, :]
+    return prod.reshape(*prod.shape[:-2], -1).swapaxes(-1, -2)
 
 
 def draw_random_solution(cfg: SystemConfig, rng: np.random.Generator) -> IaSolution:
@@ -71,34 +75,97 @@ def draw_random_solution(cfg: SystemConfig, rng: np.random.Generator) -> IaSolut
     return IaSolution(V=vs, U=us)
 
 
+class _Span:
+    """One pair's nullspace bases, compressed whenever past 4 f columns; done once full."""
+
+    def __init__(self, size: int):
+        self.size = size                    # f, the pair's free-entry count
+        self.parts: list[np.ndarray] = []   # column blocks, joined only to compress
+        self.width = 0
+        self.full = False
+
+    def add(self, basis: np.ndarray) -> None:
+        self.parts.append(basis)
+        self.width += basis.shape[1]
+        if self.width > 4 * self.size:
+            span, self.parts = np.hstack(self.parts), []    # parts freed before the SVD
+            q, self.width = orthonormal_columns(span)
+            # rank f is all of C^f: no later basis can raise it
+            self.full = self.width == self.size
+            if not self.full:
+                self.parts.append(q)
+
+
+def _svd_bytes(rows: int, cols: int) -> int:
+    """Bytes of one complex ``rows`` x ``cols`` block's full SVD: the block, U and V^H."""
+    return 16 * (rows * cols + rows * rows + cols * cols)
+
+
+def _span_rank(spans: list[_Span]) -> int:
+    """Summed numerical rank of spans of one size; equal widths share SVD calls."""
+    rank, by_width = 0, {}
+    for span in spans:
+        if span.full:
+            rank += span.size
+        elif span.width:
+            by_width.setdefault(span.width, []).append(span)
+    for width, same in by_width.items():
+        step = max(1, _BATCH_BYTES // (16 * same[0].size * width))
+        for lo in range(0, len(same), step):
+            mats = np.stack([np.hstack(span.parts) for span in same[lo:lo + step]])
+            rank += int(numerical_rank(mats).sum())
+    return rank
+
+
 def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     """Draw (U, V) pairs, collect aligned-channel nullspaces, measure their span.
 
     P is block-diagonal by ordered pair, so its nullspace is the direct sum
     of the pairs' nullspaces and the span is measured pair by pair: a draw's
-    nullity and the span rank are sums over pairs. A pair's span is
+    nullity and the span rank are sums over pairs. Draws come in batches.
+    Within a batch, the pairs that share (N_j, d_j, N_k, d_k) share their
+    support, so all their blocks are built by one ``pair_block`` and
+    factored by one stacked SVD; every such stack stays under the solver's
+    ``_BATCH_BYTES``, so a large block is factored alone. A pair's span is
     compressed to an orthonormal basis whenever it exceeds four times the
-    pair's free-entry count, bounding memory without changing its rank.
-    Deterministic given (cfg, draws, seed): draw i uses its own substream, and
-    accumulation is a sequential reduction over draw index.
+    pair's free-entry count f, bounding memory without changing its rank;
+    once a compression finds rank f, the pair's span work ends and only its
+    nullities are counted. Deterministic given (cfg, draws, seed): draw i
+    uses its own substream, and each pair accumulates in draw order, so the
+    report equals that of factoring one block per draw and pair.
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
     seed = _seed(seed)
-    supports = [(j, k, *pair_support(cfg, j, k)) for j, k in cross_pairs(cfg.K)]
-    spans = [np.zeros((rows.size, 0), dtype=complex) for _, _, rows, _ in supports]
-    nullities = []
-    for i in range(draws):
-        sol = draw_random_solution(cfg, substream(seed, _DRAW_SALT, i))
-        nullity = 0
-        for s, (j, k, rows, cols) in enumerate(supports):
-            basis = nullspace_basis(pair_block(sol.U[j], sol.V[k], rows, cols))
-            nullity += basis.shape[1]
-            spans[s] = np.hstack([spans[s], basis])
-            if spans[s].shape[1] > 4 * rows.size:
-                spans[s], _ = orthonormal_columns(spans[s])
-        nullities.append(nullity)
-    span_rank = sum(numerical_rank(span) for span in spans)
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for j, k in cross_pairs(cfg.K):
+        groups.setdefault((cfg.N[j], cfg.d[j], cfg.N[k], cfg.d[k]), []).append((j, k))
+    plans = []      # per group: its pairs, their support, blocks per SVD call, spans
+    for (_, d_j, _, d_k), pairs in groups.items():
+        rows, cols = pair_support(cfg, *pairs[0])
+        step = max(1, _BATCH_BYTES // _svd_bytes(d_j * d_k, rows.size))
+        plans.append((pairs, rows, cols, step, [_Span(rows.size) for _ in pairs]))
+    # as many draws as every group factors in one call, or one draw at a time
+    batch = max(1, min(step // len(pairs) for pairs, _, _, step, _ in plans))
+    nullities = [0] * draws
+    for first in range(0, draws, batch):
+        sols = [draw_random_solution(cfg, substream(seed, _DRAW_SALT, i))
+                for i in range(first, min(first + batch, draws))]
+        n = len(sols)
+        for pairs, rows, cols, step, spans in plans:
+            # pair-major: entry g * n + b is pair g at draw first + b
+            us = np.stack([sol.U[j] for j, _ in pairs for sol in sols])
+            vs = np.stack([sol.V[k] for _, k in pairs for sol in sols])
+            for lo in range(0, us.shape[0], step):
+                blocks = pair_block(us[lo:lo + step], vs[lo:lo + step], rows, cols)
+                _, s, vh = np.linalg.svd(blocks, full_matrices=True)
+                ranks = _rank_from_singular_values(blocks.shape, s).tolist()
+                for i, rank in enumerate(ranks, lo):
+                    nullities[first + i % n] += rows.size - rank
+                    span = spans[i // n]
+                    if not span.full:
+                        span.add(vh[i - lo, rank:].conj().T)
+    span_rank = sum(_span_rank(spans) for *_, spans in plans)
     dim_target = dim_channel_space(cfg)
     return ProbeReport(draws=draws,
                        nontrivial_draws=sum(1 for x in nullities if x >= 1),

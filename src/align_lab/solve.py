@@ -45,7 +45,8 @@ _TRIAL_SALT = 65537    # derives per-trial channel seeds
 _RESTART_SALT = 9973   # derives per-(trial, restart) init streams
 # Cap on the solver stacks of one batch of runs. Batching saves call overhead,
 # which matters only on small matrices; runs of K=3, N >= 40 gain nothing from
-# it, so a larger cap would only hold more memory.
+# it, so a larger cap would only hold more memory. The probe caps its stacked
+# SVDs with the same budget.
 _BATCH_BYTES = 2**20
 
 

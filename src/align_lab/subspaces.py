@@ -1,8 +1,9 @@
 """Tolerant subspace primitives shared by the verifier, constructor and probe.
 
 Every rank decision in the package uses the same convention: a singular value
-counts as zero when it is below max(m, n) * eps * sigma_max. Bases returned
-here always have orthonormal columns.
+counts as zero when it is below max(m, n) * eps * sigma_max. Ranks are also
+counted matrix by matrix over a stack (..., m, n). Bases returned here always
+have orthonormal columns.
 """
 
 from __future__ import annotations
@@ -16,18 +17,26 @@ __all__ = [
 ]
 
 
-def _rank_from_singular_values(shape: tuple[int, int], s: np.ndarray) -> int:
-    """Count of the descending singular values ``s`` above the shared cutoff."""
+def _rank_from_singular_values(shape: tuple[int, ...], s: np.ndarray) -> int | np.ndarray:
+    """Count of the descending singular values ``s`` above the shared cutoff.
+
+    ``shape`` is the matrix shape, (m, n) or a stack's (..., m, n). For a
+    stack, ``s`` is (..., min(m, n)) and the counts form an array of its
+    leading shape.
+    """
+    cutoff = max(shape[-2:]) * np.finfo(float).eps    # times each matrix's sigma_max
+    if s.ndim > 1:
+        return np.count_nonzero(s > cutoff * s[..., :1], axis=-1)
     if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > max(shape) * np.finfo(float).eps * float(s[0])))
+    return int(np.count_nonzero(s > cutoff * float(s[0])))
 
 
-def numerical_rank(a: np.ndarray) -> int:
-    """Rank of ``a`` under the shared singular-value cutoff."""
+def numerical_rank(a: np.ndarray) -> int | np.ndarray:
+    """Rank of ``a`` under the shared singular-value cutoff; per matrix for a stack."""
     a = np.asarray(a)
     if a.size == 0:
-        return 0
+        return np.zeros(a.shape[:-2], dtype=int) if a.ndim > 2 else 0
     s = np.linalg.svd(a, compute_uv=False)
     return _rank_from_singular_values(a.shape, s)
 

@@ -1,16 +1,21 @@
 """Linearized channel probing: P's per-pair blocks, nullspaces, span growth."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from align_lab import probe
 from align_lab.cli import main
 from align_lab.counting import dim_channel_space, equation_count, sparse_dim_deficit
 from align_lab.model import (
     ChannelSet,
     IaSolution,
     block_diagonal_config,
+    complex_normal,
     config_to_json,
     diagonal_config,
     generic_config,
@@ -19,11 +24,12 @@ from align_lab.model import (
     substream,
 )
 from align_lab.probe import (
+    ProbeReport,
     draw_random_solution,
     pair_block,
     run_probe,
 )
-from align_lab.subspaces import nullspace_basis
+from align_lab.subspaces import nullspace_basis, numerical_rank, orthonormal_columns
 from align_lab.verify import check
 
 ALL_STRUCTURES = [
@@ -187,3 +193,176 @@ def test_probe_reports_are_pinned(tmp_path, cfg, draws, seed, expected):
     doc = probe_json(tmp_path, cfg, draws, seed)
     assert (doc.pop("config"), doc.pop("draws_seed")) == (config_to_json(cfg), seed)
     assert doc == expected
+
+
+# ---------------------------------------------------------------------------
+# the batched probe against the per-draw loop it replaced
+
+def _loop_block(u, v, rows, cols):
+    """Reference: the one-draw ``pair_block`` expression."""
+    return (u.conj()[rows, :, None] * v[cols, None, :]).reshape(rows.size, -1).T
+
+
+def _loop_reports(cfg, counts, seed):
+    """Reference: one nullspace SVD per draw and pair, spans grown draw by draw.
+
+    The report of each draw count in ``counts``, from one pass over the draws.
+    """
+    supports = [(j, k, *pair_support(cfg, j, k)) for j, k in cross_pairs(cfg)]
+    spans = [np.zeros((rows.size, 0), dtype=complex) for _, _, rows, _ in supports]
+    nullities, reports = [], []
+    dim_target = dim_channel_space(cfg)
+    for i in range(max(counts)):
+        sol = draw_random_solution(cfg, substream(seed, probe._DRAW_SALT, i))
+        nullity = 0
+        for s, (j, k, rows, cols) in enumerate(supports):
+            basis = nullspace_basis(_loop_block(sol.U[j], sol.V[k], rows, cols))
+            nullity += basis.shape[1]
+            spans[s] = np.hstack([spans[s], basis])
+            if spans[s].shape[1] > 4 * rows.size:
+                spans[s], _ = orthonormal_columns(spans[s])
+        nullities.append(nullity)
+        if i + 1 in counts:
+            span_rank = sum(numerical_rank(span) for span in spans)
+            reports.append(ProbeReport(draws=i + 1,
+                                       nontrivial_draws=sum(1 for x in nullities if x >= 1),
+                                       per_draw_nullity=tuple(nullities),
+                                       span_rank=span_rank,
+                                       dim_target=dim_target,
+                                       sd_upper_bound=dim_target - 1,
+                                       filled=span_rank == dim_target))
+    return reports
+
+
+def _loop_probe(cfg, draws, seed):
+    return _loop_reports(cfg, (draws,), seed)[0]
+
+
+PROBE_SPAN_CONFIGS = [
+    generic_config(4, 5, 2),
+    generic_config(3, 2, 1),
+    block_diagonal_config(3, 2, 4, 2),
+    diagonal_config(4, 6, 1),
+    diagonal_config(3, 7, (4, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("cfg", [
+    generic_config(3, (2, 3, 2), 1),
+    block_diagonal_config(3, (1, 2, 3), 2, 1),
+    *PROBE_SPAN_CONFIGS,      # diagonal 7 with d = (4, 3, 3) among them
+])
+def test_batched_probe_matches_the_per_draw_loop(cfg):
+    counts = (1, 2, 4, 9, 50)
+    for seed in (0, 1, 2):
+        for draws, ref in zip(counts, _loop_reports(cfg, counts, seed)):
+            assert run_probe(cfg, draws, seed) == ref, (draws, seed)
+
+
+@pytest.mark.parametrize("budget", [1, 5000, 40_000])
+@pytest.mark.parametrize("cfg", [generic_config(4, 5, 2), generic_config(3, 2, 1),
+                                 block_diagonal_config(3, (1, 2, 3), 2, 1)])
+def test_small_batch_budgets_split_calls_not_reports(monkeypatch, cfg, budget):
+    """Budgets below one draw's blocks split draws and SVD calls; the report holds."""
+    monkeypatch.setattr(probe, "_BATCH_BYTES", budget)
+    assert run_probe(cfg, 9, 3) == _loop_probe(cfg, 9, 3)
+
+
+@st.composite
+def small_configs(draw):
+    K = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["generic", "diagonal", "block-diagonal"]))
+    if kind == "generic":
+        N = draw(st.lists(st.integers(1, 4), min_size=K, max_size=K))
+        return generic_config(K, N, [draw(st.integers(1, n)) for n in N])
+    if kind == "diagonal":
+        n_s = draw(st.integers(1, 6))
+        return diagonal_config(K, n_s, draw(st.lists(st.integers(1, n_s), min_size=K,
+                                                     max_size=K)))
+    n_c = draw(st.integers(1, 3))
+    M = draw(st.lists(st.integers(1, 2), min_size=K, max_size=K))
+    return block_diagonal_config(K, M, n_c, [draw(st.integers(1, m * n_c)) for m in M])
+
+
+@given(small_configs(), st.integers(1, 12), st.integers(0, 2**16))
+def test_batched_probe_matches_the_loop_on_small_configs(cfg, draws, seed):
+    assert run_probe(cfg, draws, seed) == _loop_probe(cfg, draws, seed)
+
+
+def test_a_full_span_ends_its_pair_span_work(monkeypatch):
+    """Nullity 3 of f = 4 per draw: the sixth draw compresses to rank 4, the last time.
+
+    Every pair passes 4 f columns by its sixth draw, so as many compressions
+    as pairs means each pair compressed exactly once.
+    """
+    cfg = generic_config(2, 2, 1)
+    ranks = []
+
+    def counted(a):
+        q, rank = orthonormal_columns(a)
+        ranks.append(rank)
+        return q, rank
+
+    monkeypatch.setattr(probe, "orthonormal_columns", counted)
+    rep = run_probe(cfg, 50, seed=0)
+    assert ranks == [4, 4]
+    assert rep == _loop_probe(cfg, 50, 0)
+
+
+def test_pair_block_takes_stacks():
+    cfg = block_diagonal_config(3, (1, 2, 3), 2, (1, 2, 2))
+    sols = [draw_random_solution(cfg, substream(7, i)) for i in range(5)]
+    for j, k in cross_pairs(cfg):
+        rows, cols = pair_support(cfg, j, k)
+        one = [pair_block(sol.U[j], sol.V[k], rows, cols) for sol in sols]
+        # the one-draw call keeps its bytes and its layout
+        assert all(b.tobytes() == _loop_block(sol.U[j], sol.V[k], rows, cols).tobytes()
+                   and b.strides == _loop_block(sol.U[j], sol.V[k], rows, cols).strides
+                   for b, sol in zip(one, sols))
+        us = np.stack([sol.U[j] for sol in sols]).reshape(5, 1, cfg.N[j], cfg.d[j])
+        vs = np.stack([sol.V[k] for sol in sols])
+        stacked = pair_block(us, vs, rows, cols)     # (5, 1) against (5,) broadcasts
+        assert stacked.shape == (5, 5, cfg.d[j] * cfg.d[k], rows.size)
+        for a in range(5):
+            for b in range(5):
+                expect = pair_block(sols[a].U[j], sols[b].V[k], rows, cols)
+                assert stacked[a, b].tobytes() == expect.tobytes()
+
+
+def _low_rank_stack(rng, lead, m, n):
+    """Random m x n matrices of every rank 0..min(m, n) over the ``lead`` stack."""
+    count = int(np.prod(lead))
+    ranks = rng.integers(0, min(m, n) + 1, size=count)
+    mats = [complex_normal(rng, m, r) @ complex_normal(rng, r, n) for r in ranks]
+    return np.array(mats, dtype=complex).reshape(*lead, m, n)
+
+
+@pytest.mark.parametrize("lead,m,n", [
+    ((7,), 3, 5), ((7,), 6, 2), ((2, 4), 4, 4), ((3,), 1, 9),
+    ((0,), 3, 4), ((2,), 0, 3), ((2,), 3, 0), ((2, 0), 2, 2),
+])
+def test_stacked_ranks_match_numerical_rank_per_matrix(lead, m, n):
+    rng = substream(5, m, n)
+    stack = _low_rank_stack(rng, lead, m, n)
+    if stack.size:
+        stack[(0,) * len(lead)] = 0.0     # an all-zero block has rank 0
+    ranks = numerical_rank(stack)
+    assert ranks.shape == lead
+    for idx in np.ndindex(*lead):
+        assert ranks[idx] == numerical_rank(stack[idx])
+    if stack.size:
+        assert ranks[(0,) * len(lead)] == 0
+
+
+def test_probe_memory_stays_at_one_block_per_call():
+    """Large-f blocks fall back to one per SVD call: the peak stays at the loop's."""
+    cfg = diagonal_config(3, 201, 1)
+    run_probe(cfg, 1)
+    tracemalloc.start()
+    try:
+        run_probe(cfg, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-draw loop peaks at 19.7 MiB here; one uncapped stack at 196 MiB
+    assert peak < 1.1 * 19.7 * 2**20
