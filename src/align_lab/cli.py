@@ -405,13 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
            seed=0)
 
     sp = sub.add_parser("solve", help="Monte Carlo feasibility classification")
+    opts = SolverOptions()
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
-    sp.add_argument("--trials", type=int, default=20, help="channel draws")
-    sp.add_argument("--restarts", type=int, default=1, help="restarts per draw")
-    sp.add_argument("--max-iters", type=int, default=1000, dest="max_iters",
+    sp.add_argument("--trials", type=int, default=opts.trials, help="channel draws")
+    sp.add_argument("--restarts", type=int, default=opts.restarts,
+                    help="restarts per draw")
+    sp.add_argument("--max-iters", type=int, default=opts.max_iters, dest="max_iters",
                     help="iteration cap per run")
-    sp.add_argument("--tol", type=float, default=TOL_ALIGN, help="leakage tolerance")
-    common(sp, cmd_solve, seed_help="solver seed (default 0)", seed=0)
+    sp.add_argument("--tol", type=float, default=opts.tol_align, help="leakage tolerance")
+    common(sp, cmd_solve, seed_help="solver seed (default 0)", seed=opts.seed)
 
     sp = sub.add_parser("verify", help="check a stored solution against channels")
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
@@ -439,8 +441,7 @@ def _emit(args: argparse.Namespace, payload, rows, text) -> None:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
                                     lineterminator="\n")
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+            writer.writerows(rows)
             text = buf.getvalue()
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")

@@ -14,7 +14,8 @@ For K >= 4 the series eventually violates the properness count, so the two
 bounds contradict each other; ``min_improper_n`` locates the first index where
 that happens. Every function in this module uses arbitrary-precision integer
 and rational arithmetic only. No floating point, so the collision demo is
-exact.
+exact. Counts go through ``model._count``: a float, bool or other non-integer
+count raises InvalidSpec, and one below its least value raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import SystemConfig, _blocks, diagonal_config
+from .model import SystemConfig, _blocks, _count, diagonal_config
 
 __all__ = [
     "CjParameters",
@@ -75,9 +76,7 @@ class PropernessReport:
 
 def equation_count(d: Sequence[int]) -> int:
     """Number of scalar alignment equations: sum of d_k*d_l over ordered pairs k != l."""
-    d = [int(x) for x in d]
-    if any(x < 1 for x in d):
-        raise ValueError(f"stream counts must be positive, got {tuple(d)}")
+    d = [_count(f"d[{i}]", x) for i, x in enumerate(d)]
     total = sum(d)
     return total * total - sum(x * x for x in d)
 
@@ -100,18 +99,13 @@ def is_proper(cfg: SystemConfig) -> PropernessReport:
 
 def symmetric_bound(M: int, K: int) -> Fraction:
     """Properness ceiling on per-user streams in the symmetric M-antenna case."""
-    if M < 1:
-        raise ValueError(f"antenna count must be positive, got M={M}")
-    if K < 2:
-        raise ValueError(f"need at least two users, got K={K}")
+    M, K = _count("M", M), _count("K", K, 2)
     return Fraction(2 * M, K + 1)
 
 
 def tdma_baseline(K: int) -> Fraction:
     """Normalized DoF of plain time sharing: 1/K, no alignment needed."""
-    if K < 1:
-        raise ValueError(f"user count must be positive, got K={K}")
-    return Fraction(1, K)
+    return Fraction(1, _count("K", K))
 
 
 def cj_parameters(K: int, n: int) -> CjParameters:
@@ -120,11 +114,7 @@ def cj_parameters(K: int, n: int) -> CjParameters:
     Rejects K < 3: the exponent N = (K-1)(K-2) - 1 is nonpositive there and
     the scheme is undefined.
     """
-    if K < 3:
-        raise ValueError(f"the extension series needs K >= 3, got K={K} "
-                         f"(exponent N would be {(K - 1) * (K - 2) - 1})")
-    if n < 1:
-        raise ValueError(f"series index must be a positive integer, got n={n}")
+    K, n = _count("K", K, 3), _count("n", n)
     n_exp = (K - 1) * (K - 2) - 1
     a = (n + 1) ** n_exp
     b = n ** n_exp
@@ -154,10 +144,7 @@ def min_improper_n(K: int, n_max: int) -> int | None:
     improper one is improper too: the improper indices are a final segment
     of 1..n_max, and ``bisect_left`` returns its first element.
     """
-    if K < 3:
-        raise ValueError(f"the extension series needs K >= 3, got K={K}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    K, n_max = _count("K", K, 3), _count("n_max", n_max)
     ns = range(1, n_max + 1)
     i = bisect.bisect_left(ns, True, key=lambda n: improper_by_threshold(K, n))
     return ns[i] if i < len(ns) else None
@@ -170,10 +157,7 @@ def improper_by_threshold(K: int, n: int) -> bool:
     N_e - N_v = (K-1)(K-2)*b^2 - 2*a*b, so this is exactly N_e > N_v;
     ``is_proper`` on ``cj_config(K, n)`` computes the two counts directly.
     """
-    if K < 3:
-        raise ValueError(f"the extension series needs K >= 3, got K={K}")
-    if n < 1:
-        raise ValueError(f"series index must be a positive integer, got n={n}")
+    K, n = _count("K", K, 3), _count("n", n)
     n_exp = (K - 1) * (K - 2) - 1
     return (K - 1) * (K - 2) * n ** n_exp > 2 * (n + 1) ** n_exp
 

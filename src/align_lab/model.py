@@ -59,6 +59,14 @@ def _int(name: str, x) -> int:
     return operator.index(x)
 
 
+def _count(name: str, x, least: int = 1) -> int:
+    """``x`` as an int of at least ``least``: InvalidSpec as in ``_int``, ValueError below."""
+    n = _int(name, x)
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
 def _seed(x) -> int:
     """``x`` as a seed: any non-negative integer; InvalidSpec otherwise."""
     seed = _int("seed", x)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import dim_channel_space
-from .model import (IaSolution, SystemConfig, _seed, complex_normal, cross_pairs,
-                    pair_support, substream)
-from .solve import _BATCH_BYTES
-from .subspaces import _rank_from_singular_values, numerical_rank, orthonormal_columns
+from .model import (IaSolution, SystemConfig, _count, _seed, complex_normal,
+                    cross_pairs, pair_support, substream)
+from .subspaces import (_BATCH_BYTES, _rank_from_singular_values, numerical_rank,
+                        orthonormal_columns)
 
 __all__ = [
     "ProbeReport",
@@ -68,11 +68,17 @@ def pair_block(u: np.ndarray, v: np.ndarray, rows: np.ndarray,
     return prod.reshape(*prod.shape[:-2], -1).swapaxes(-1, -2)
 
 
+def _draw(cfg: SystemConfig, rng: np.random.Generator
+          ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Independent complex-normal (V, U) as plain arrays; all precoders first."""
+    vs = [complex_normal(rng, cfg.N[k], cfg.d[k]) for k in range(cfg.K)]
+    us = [complex_normal(rng, cfg.N[k], cfg.d[k]) for k in range(cfg.K)]
+    return vs, us
+
+
 def draw_random_solution(cfg: SystemConfig, rng: np.random.Generator) -> IaSolution:
     """Independent complex-normal (U, V); all precoders first, then decoders."""
-    vs = tuple(complex_normal(rng, cfg.N[k], cfg.d[k]) for k in range(cfg.K))
-    us = tuple(complex_normal(rng, cfg.N[k], cfg.d[k]) for k in range(cfg.K))
-    return IaSolution(V=vs, U=us)
+    return IaSolution(*_draw(cfg, rng))
 
 
 class _Span:
@@ -125,18 +131,16 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     nullity and the span rank are sums over pairs. Draws come in batches.
     Within a batch, the pairs that share (N_j, d_j, N_k, d_k) share their
     support, so all their blocks are built by one ``pair_block`` and
-    factored by one stacked SVD; every such stack stays under the solver's
-    ``_BATCH_BYTES``, so a large block is factored alone. A pair's span is
-    compressed to an orthonormal basis whenever it exceeds four times the
-    pair's free-entry count f, bounding memory without changing its rank;
+    factored by one stacked SVD; every such stack stays under
+    ``subspaces._BATCH_BYTES``, so a large block is factored alone. A pair's
+    span is compressed to an orthonormal basis whenever it exceeds four times
+    the pair's free-entry count f, bounding memory without changing its rank;
     once a compression finds rank f, the pair's span work ends and only its
     nullities are counted. Deterministic given (cfg, draws, seed): draw i
     uses its own substream, and each pair accumulates in draw order, so the
     report equals that of factoring one block per draw and pair.
     """
-    if draws < 1:
-        raise ValueError(f"need at least one draw, got {draws}")
-    seed = _seed(seed)
+    draws, seed = _count("draws", draws), _seed(seed)
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for j, k in cross_pairs(cfg.K):
         groups.setdefault((cfg.N[j], cfg.d[j], cfg.N[k], cfg.d[k]), []).append((j, k))
@@ -149,13 +153,13 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     batch = max(1, min(step // len(pairs) for pairs, _, _, step, _ in plans))
     nullities = [0] * draws
     for first in range(0, draws, batch):
-        sols = [draw_random_solution(cfg, substream(seed, _DRAW_SALT, i))
+        sols = [_draw(cfg, substream(seed, _DRAW_SALT, i))
                 for i in range(first, min(first + batch, draws))]
         n = len(sols)
         for pairs, rows, cols, step, spans in plans:
             # pair-major: entry g * n + b is pair g at draw first + b
-            us = np.stack([sol.U[j] for j, _ in pairs for sol in sols])
-            vs = np.stack([sol.V[k] for _, k in pairs for sol in sols])
+            us = np.stack([u[j] for j, _ in pairs for _, u in sols])
+            vs = np.stack([v[k] for _, k in pairs for v, _ in sols])
             for lo in range(0, us.shape[0], step):
                 blocks = pair_block(us[lo:lo + step], vs[lo:lo + step], rows, cols)
                 _, s, vh = np.linalg.svd(blocks, full_matrices=True)

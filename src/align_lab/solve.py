@@ -28,9 +28,10 @@ import numpy as np
 from . import cj3
 from .counting import cj_config
 from .errors import DegenerateSpan, RankDeficient, SingularChannel
-from .model import (ChannelSet, IaSolution, SystemConfig, _seed, complex_normal,
+from .model import (ChannelSet, IaSolution, SystemConfig, _count, _seed, complex_normal,
                     cross_pairs, pair_support, sample_channels, substream)
-from .verify import _check_tolerance, _cross_leakage, check
+from .subspaces import _BATCH_BYTES
+from .verify import TOL_ALIGN, _check_tolerance, _cross_leakage, check
 
 __all__ = [
     "SolverOptions",
@@ -43,11 +44,6 @@ __all__ = [
 
 _TRIAL_SALT = 65537    # derives per-trial channel seeds
 _RESTART_SALT = 9973   # derives per-(trial, restart) init streams
-# Cap on the solver stacks of one batch of runs. Batching saves call overhead,
-# which matters only on small matrices; runs of K=3, N >= 40 gain nothing from
-# it, so a larger cap would only hold more memory. The probe caps its stacked
-# SVDs with the same budget.
-_BATCH_BYTES = 2**20
 
 
 class Classification(enum.Enum):
@@ -59,19 +55,15 @@ class Classification(enum.Enum):
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 1000
-    tol_align: float = 1e-8
+    tol_align: float = TOL_ALIGN
     restarts: int = 1
     trials: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        for name in ("max_iters", "restarts", "trials"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         _check_tolerance(self.tol_align)
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
         object.__setattr__(self, "seed", _seed(self.seed))
 
 

@@ -16,6 +16,12 @@ __all__ = [
     "nullspace_basis",
 ]
 
+# Cap on one batch of stacked work: the solver's stacks for a batch of runs and
+# the probe's stacked SVDs. Batching saves call overhead, which matters only on
+# small matrices; runs of K=3, N >= 40 gain nothing from it, so a larger cap
+# would only hold more memory.
+_BATCH_BYTES = 2**20
+
 
 def _rank_from_singular_values(shape: tuple[int, ...], s: np.ndarray) -> int | np.ndarray:
     """Count of the descending singular values ``s`` above the shared cutoff.

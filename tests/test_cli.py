@@ -438,7 +438,7 @@ def test_cj3_names_a_nonpositive_index(tmp_path, capsys, n):
     out = tmp_path / "o.json"
     assert main(["cj3", "--n", n, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"n={n}" in err
+    assert err == f"error: n must be at least 1, got {n}\n"
     assert "d=" not in err and "N=" not in err
     assert not out.exists()
 
@@ -587,15 +587,16 @@ def test_exact_subcommands_keep_their_bytes(tmp_path, command, fmt):
 
 def test_probe_reproducible_and_seed_sensitive(tmp_path, monkeypatch):
     # the report cannot show seed sensitivity (nullities are generic), so the
-    # draws themselves are recorded: one list of (U, V) per run
+    # draws themselves are recorded: one list of (V, U) per run
     runs = []
+    draw = align_lab.probe._draw
 
     def recording_draw(cfg, rng):
-        sol = draw_random_solution(cfg, rng)
-        runs[-1].append(sol)
-        return sol
+        vu = draw(cfg, rng)
+        runs[-1].append(vu)
+        return vu
 
-    monkeypatch.setattr(align_lab.probe, "draw_random_solution", recording_draw)
+    monkeypatch.setattr(align_lab.probe, "_draw", recording_draw)
     cfg_path = write_config(tmp_path, diagonal_config(3, 5, (2, 1, 1), seed=3))
     docs = []
     for seed in ("1", "1", "2"):
@@ -606,10 +607,18 @@ def test_probe_reproducible_and_seed_sensitive(tmp_path, monkeypatch):
     assert [len(r) for r in runs] == [3, 3, 3]
 
     def same(a, b):
-        return all(np.array_equal(x, y) for x, y in zip(a.U + a.V, b.U + b.V))
+        return all(np.array_equal(x, y) for x, y in zip(a[0] + a[1], b[0] + b[1]))
 
     assert all(same(a, b) for a, b in zip(runs[0], runs[1]))
     assert not any(same(a, b) for a, b in zip(runs[0], runs[2]))
+
+
+def test_solve_flags_default_to_solver_options():
+    args = build_parser().parse_args(["solve", "--config", "x"])
+    opts = SolverOptions()
+    flags = (args.max_iters, args.tol, args.restarts, args.trials, args.seed)
+    fields = (opts.max_iters, opts.tol_align, opts.restarts, opts.trials, opts.seed)
+    assert [(type(x), x) for x in flags] == [(type(x), x) for x in fields]
 
 
 def test_seed_meaning_per_subcommand(tmp_path):

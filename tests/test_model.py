@@ -1,5 +1,6 @@
 """Configuration, sampling, and serialization round-trips."""
 
+import dataclasses
 import json
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from align_lab.cli import _json_text, _matrices_from_json
-from align_lab.counting import cj_config, dim_channel_space
+from align_lab.counting import (cj_config, cj_parameters, dim_channel_space, equation_count,
+                                improper_by_threshold, min_improper_n, symmetric_bound,
+                                tdma_baseline)
 from align_lab.errors import DimensionMismatch, InvalidSpec, StreamOverflow
 from align_lab.model import (
     ChannelSet,
@@ -28,6 +31,8 @@ from align_lab.model import (
     sample_channels,
     substream,
 )
+from align_lab.probe import run_probe
+from align_lab.solve import SolverOptions
 
 
 def test_generic_factory_coerces_scalars_to_tuples():
@@ -75,6 +80,48 @@ def test_validate_rejects_seed_out_of_range():
         generic_config(2, 2, 1, seed=-1)
     # no upper limit: seed sequences take integers of any size
     assert generic_config(2, 2, 1, seed=2 ** 70).seed == 2 ** 70
+
+
+def _probe_draws(draws):
+    report = run_probe(generic_config(3, 2, 1), draws)
+    _json_text(dataclasses.asdict(report))    # the probe payload must encode
+    return report.draws
+
+
+# every count the package takes: its name, its least value and a call that
+# returns what its callee keeps or computes from it
+COUNTS = [
+    pytest.param("d[1]", 1, lambda x: equation_count((2, x, 1)), id="equation_count"),
+    pytest.param("M", 1, lambda x: symmetric_bound(x, 3), id="symmetric_bound-M"),
+    pytest.param("K", 2, lambda x: symmetric_bound(1, x), id="symmetric_bound-K"),
+    pytest.param("K", 1, tdma_baseline, id="tdma_baseline"),
+    pytest.param("K", 3, lambda x: cj_parameters(x, 1), id="cj_parameters-K"),
+    pytest.param("n", 1, lambda x: cj_parameters(4, x), id="cj_parameters-n"),
+    pytest.param("K", 3, lambda x: min_improper_n(x, 6), id="min_improper_n-K"),
+    pytest.param("n_max", 1, lambda x: min_improper_n(4, x), id="min_improper_n-n_max"),
+    pytest.param("K", 3, lambda x: improper_by_threshold(x, 5), id="improper_by_threshold-K"),
+    pytest.param("n", 1, lambda x: improper_by_threshold(4, x), id="improper_by_threshold-n"),
+    pytest.param("max_iters", 1, lambda x: SolverOptions(max_iters=x), id="max_iters"),
+    pytest.param("restarts", 1, lambda x: SolverOptions(restarts=x), id="restarts"),
+    pytest.param("trials", 1, lambda x: SolverOptions(trials=x), id="trials"),
+    pytest.param("draws", 1, _probe_draws, id="run_probe"),
+]
+
+
+@pytest.mark.parametrize("name,least,call", COUNTS)
+def test_counts_follow_one_rule(name, least, call):
+    for bad in (2.0, True):
+        with pytest.raises(InvalidSpec) as exc:
+            call(bad)
+        assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        call(least - 1)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{name} must be at least {least}, got {least - 1}"
+    # a numpy integer is taken as the int it equals
+    for n in (least, least + 1):
+        out, ref = call(np.int64(n)), call(n)
+        assert type(out) is type(ref) and out == ref and repr(out) == repr(ref)
 
 
 def test_n_s_property_requires_common_dimension():
