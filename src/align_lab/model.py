@@ -167,28 +167,30 @@ class SystemConfig:
         return self.N[0]
 
 
+def _per_user(name: str, x, K: int) -> tuple:
+    """``x`` as one entry per user: a sequence as given, a scalar repeated K
+    times. A scalar that is not an integer raises InvalidSpec naming ``name``."""
+    return tuple(x) if isinstance(x, Iterable) else (_int(name, x),) * K
+
+
 def generic_config(K: int, N: Sequence[int] | int, d: Sequence[int] | int,
                    seed: int = 0) -> SystemConfig:
     """Dense-channel config; scalar N or d is broadcast to all users."""
-    N = (N,) * K if isinstance(N, int) else tuple(N)
-    d = (d,) * K if isinstance(d, int) else tuple(d)
-    return SystemConfig(K=K, N=N, d=d, structure=ChannelStructure(StructureKind.GENERIC),
-                        seed=seed)
+    return SystemConfig(K=K, N=_per_user("N", N, K), d=_per_user("d", d, K),
+                        structure=ChannelStructure(StructureKind.GENERIC), seed=seed)
 
 
 def diagonal_config(K: int, n_s: int, d: Sequence[int] | int, seed: int = 0) -> SystemConfig:
     """Diagonal-channel config with shared signal dimension ``n_s``."""
-    d = (d,) * K if isinstance(d, int) else tuple(d)
-    return SystemConfig(K=K, N=(n_s,) * K, d=d,
+    return SystemConfig(K=K, N=(n_s,) * K, d=_per_user("d", d, K),
                         structure=ChannelStructure(StructureKind.DIAGONAL), seed=seed)
 
 
 def block_diagonal_config(K: int, M: Sequence[int] | int, n_c: int,
                           d: Sequence[int] | int, seed: int = 0) -> SystemConfig:
     """Block-diagonal config: N_k = M_k * n_c."""
-    M = (M,) * K if isinstance(M, int) else tuple(M)
-    d = (d,) * K if isinstance(d, int) else tuple(d)
-    return SystemConfig(K=K, N=tuple(m * n_c for m in M), d=d, M=M,
+    M = _per_user("M", M, K)
+    return SystemConfig(K=K, N=tuple(m * n_c for m in M), d=_per_user("d", d, K), M=M,
                         structure=ChannelStructure(StructureKind.BLOCK_DIAGONAL, n_c),
                         seed=seed)
 

@@ -1,21 +1,31 @@
 """Iterative approximate alignment and Monte Carlo feasibility classification.
 
-The solver is plain alternating interference-leakage minimization: with
+The solver is alternating interference-leakage minimization: with
 precoders frozen, each decoder is set to the least-dominant eigenvectors of
 the interference covariance at its receiver; with decoders frozen, precoders
 get the symmetric update in the reciprocal network (all channels conjugate
-transposed). Both half-steps minimize the same total leakage, so the
-trajectory never increases. Each half-step updates all users of all runs at
+transposed). Both half-steps minimize the same total leakage, so a sweep
+never increases it. Each half-step updates all users of all runs at
 once: one stacked product with the zero-padded channel stack of every run,
 one matmul for all interference covariances, and one batched ``eigh`` per
 distinct N_k. The iterates are orthonormal bases whose column phases are
 whatever ``eigh`` returns; the covariance sum_j H V_j V_j^H H^H, hence both
-half-steps and the leakage, depends only on the spanned subspaces. A run
-that stops drops out of the stacks; the others sweep on exactly as they
-would alone. The classifier solves all its channel draws and restarts
-together, then buckets the outcome; absence of success is weak
-evidence (local minima exist), so the thresholds are deliberately asymmetric
-and a known explicit witness overrides solver failure.
+half-steps and the leakage, depends only on the spanned subspaces.
+
+Alternating minimization converges only linearly, so below a leakage of
+``_POLISH_BELOW`` (1e-4) a run first tries a Gauss-Newton proposal: the
+min-norm least-squares step that zeroes every cross product to first order,
+built from the complements that ``eigh`` already returns, then a receive
+half-step. The proposal is kept only if the leakage falls strictly; otherwise
+the run sweeps from the same state. So each iteration, and each trajectory
+point, is one accepted proposal or one sweep, and the trajectory never
+increases. After a rejection a run tries again only once its leakage has
+fallen tenfold below the rejected level, and a run whose system would exceed
+``_BATCH_BYTES`` only sweeps. A run that stops drops out of the stacks; the
+others iterate on exactly as they would alone. The classifier solves all its
+channel draws and restarts together, then buckets the outcome; absence of
+success is weak evidence (local minima exist), so the thresholds are
+deliberately asymmetric and a known explicit witness overrides solver failure.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ __all__ = [
 
 _TRIAL_SALT = 65537    # derives per-trial channel seeds
 _RESTART_SALT = 9973   # derives per-(trial, restart) init streams
+_POLISH_BELOW = 1e-4   # leakage below which a run first tries a Gauss-Newton step
 
 
 class Classification(enum.Enum):
@@ -124,39 +135,119 @@ def _cross_stack(chs: list[ChannelSet]) -> np.ndarray:
 
 def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
                         groups: list[tuple[int, np.ndarray]]
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One half-step of many runs: every receiver's least-interference subspace.
 
     ``h`` is an (R, K, K, N_max, N_max) stack of R runs' channels with zero
     direct pairs and ``x`` the (R, K, N_max, d_max) stack of transmit bases.
     The interference covariance at receiver k of run r is G G^H, where G lines
-    up the images h[r, k, j] @ x[r, j] over all j. Its least-dominant
-    eigenvectors, one batched ``eigh`` per distinct N_k in ``groups``, fill
-    the first d_k columns of receiver k, with the column phases ``eigh``
-    gives; ``keep`` (K, d_max) zeroes the rest. Returns the new receive
-    bases and the (R, K, K, N_max, d_max) stack of images.
+    up the images h[r, k, j] @ x[r, j] over all j. Its eigenvectors, one
+    batched ``eigh`` per distinct N_k in ``groups``, fill receiver k's
+    N_k x N_k block of the (R, K, N_max, N_max) full bases in ascending order,
+    with the column phases ``eigh`` gives: the first d_k columns span the new
+    subspace and the next N_k - d_k its complement. The new receive bases are
+    the full bases' first d_max columns, with the rest zeroed by ``keep``
+    (K, d_max). Returns the full bases, the receive bases and the
+    (R, K, K, N_max, d_max) stack of images.
     """
     R, K, n, w = x.shape
     hx = h @ x[:, None]
     g = hx.transpose(0, 1, 3, 2, 4).reshape(R, K, n, K * w)
     q = g @ g.conj().swapaxes(-1, -2)
     if len(groups) == 1:
-        out = np.linalg.eigh(q)[1][..., :w]
+        full = np.linalg.eigh(q)[1]
     else:
-        out = np.zeros_like(x)
+        full = np.zeros_like(q)
         for n_k, users in groups:
-            cols = min(n_k, w)
-            out[:, users, :n_k, :cols] = \
-                np.linalg.eigh(q[:, users, :n_k, :n_k])[1][..., :cols]
-    return out * keep[:, None, :], hx
+            full[:, users, :n_k, :n_k] = np.linalg.eigh(q[:, users, :n_k, :n_k])[1]
+    return full, full[..., :w] * keep[:, None, :], hx
+
+
+def _sweep(h: np.ndarray, h_rec: np.ndarray, us: np.ndarray, keep: np.ndarray,
+           groups: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """One sweep of many runs: the transmit half-step, in the reciprocal
+    network ``h_rec``, then the receive half-step. Returns the full transmit
+    bases, the transmit bases, then the receive half-step's three outputs."""
+    ev, vs, _ = _least_interference(h_rec, us, keep, groups)
+    return (ev, vs, *_least_interference(h, vs, keep, groups))
+
+
+def _complete(v: np.ndarray, shapes: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """Full (R, K, N_max, N_max) bases from one complete QR of each user's
+    (N_k, d_k) block of ``v``: the first d_k columns are an orthonormal basis
+    of its span, the next N_k - d_k one of their complement. ``shapes`` groups
+    the users by (N_k, d_k)."""
+    R, K, n, _ = v.shape
+    full = np.zeros((R, K, n, n), dtype=complex)
+    for n_k, d_k, users in shapes:
+        full[:, users, :n_k, :n_k] = np.linalg.qr(v[:, users, :n_k, :d_k], mode="complete")[0]
+    return full
+
+
+def _gn_layout(N: tuple[int, ...], d: tuple[int, ...]
+               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """Where the Gauss-Newton system of one run sits in its blocks.
+
+    The blocks are T[j, k] = [U_j U_j^perp]^H H[j][k] [V_k V_k^perp] of the
+    full bases, flattened, with one zero appended. Each cross pair's
+    C = U_j^H H V_k, M = U_j^perp^H H V_k and W = U_j^H H V_k^perp are blocks
+    of T[j, k], so C + P_j M + W B_k = 0 is one row per entry (a, b) of C over
+    the unknowns P_j (d_j x (N_j - d_j)) and B_k ((N_k - d_k) x d_k). Returns
+    the indices of C's entries (N_e,), of the system matrix J (N_e, N_v, with
+    P's unknowns first and its absent entries on the zero), the (user, row,
+    column) positions of B's unknowns in a (K, N_max, d_max) array, and that
+    array's identity part: V + V^perp B = [V V^perp] (lift + B).
+    """
+    K, n, w = len(N), max(N), max(d)
+    zero = K * K * n * n
+
+    def columns(entries, width):
+        return np.array(entries, dtype=int).reshape(-1, width).T
+
+    def flat(j, k, row, col):
+        return ((j * K + k) * n + row) * n + col
+
+    # equations down the rows, unknowns across the columns
+    rj, rk, ra, rb = columns([(j, k, a, b) for j, k in cross_pairs(K)
+                              for a in range(d[j]) for b in range(d[k])], 4)[:, :, None]
+    pj, pa, pq = columns([(j, a, q) for j in range(K) for a in range(d[j])
+                          for q in range(d[j], N[j])], 3)[:, None, :]
+    bk, bq, bb = columns([(k, q, b) for k in range(K) for q in range(d[k], N[k])
+                          for b in range(d[k])], 3)[:, None, :]
+    jac = np.concatenate([
+        np.where((rj == pj) & (ra == pa), flat(rj, rk, pq, rb), zero),
+        np.where((rk == bk) & (rb == bb), flat(rj, rk, ra, bq), zero)], axis=1)
+    lift = np.zeros((K, n, w), dtype=complex)
+    for k, d_k in enumerate(d):
+        lift[k, :d_k, :d_k] = np.eye(d_k)
+    return flat(rj, rk, ra, rb)[:, 0], jac, (bk[0], bq[0], bb[0]), lift
+
+
+def _propose(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, layout: tuple,
+             shapes: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """One Gauss-Newton step of many runs; returns the full transmit bases.
+
+    ``eu`` and ``ev`` are the runs' full receive and transmit bases. Each
+    run, alone, takes the min-norm least-squares (P, B) of the system that
+    ``_gn_layout`` lays out, the first-order condition that every cross
+    product vanish, and proposes orth(V + V^perp B).
+    """
+    cross, jac, b_at, lift = layout
+    t = eu.conj().swapaxes(-1, -2)[:, :, None] @ h @ ev[:, None]
+    t = np.concatenate([t.reshape(len(t), -1), np.zeros((len(t), 1))], axis=1)
+    y = np.repeat(lift[None], len(t), axis=0)
+    for i, blocks in enumerate(t):
+        step = np.linalg.lstsq(blocks[jac], -blocks[cross], rcond=None)[0]
+        y[i][b_at] = step[step.size - b_at[0].size:]
+    return _complete(ev @ y, shapes)
 
 
 def _stop_reason(trajectory: list[float], opts: SolverOptions) -> str | None:
-    """Why a run with this trajectory stops now, or None if it sweeps again.
+    """Why a run with this trajectory stops now, or None if it iterates again.
 
-    ``zero``: the leakage is exactly zero. ``plateau``: the last sweep gained
-    less than tol_align/10 relative to the current leakage level, with
-    tol_align as the level floor. ``max_iters``: the sweep budget is spent.
+    ``zero``: the leakage is exactly zero. ``plateau``: the last iteration
+    gained less than tol_align/10 relative to the current leakage level, with
+    tol_align as the level floor. ``max_iters``: the iteration budget is spent.
     """
     if trajectory[-1] == 0.0:
         return "zero"
@@ -177,12 +268,17 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
     Run r solves ``chs[r]`` from orthonormalized complex-normal precoders
     drawn from ``rngs[r]``; returns its solution, trajectory and stop reason.
     Decoders take one half-step before the first trajectory point, so
-    trajectory[0] is already a minimized value. ``_stop_reason`` scales the
-    plateau test by the leakage level, which keeps slow descents toward
-    tolerance going without letting stalled runs burn the sweep budget.
-    Every half-step updates all users of all live runs at once, and a run
-    leaves the stacks as soon as it stops, so each run's iterates are exactly
-    those it would take alone.
+    trajectory[0] is already a minimized value. Each further point is one
+    iteration: a Gauss-Newton proposal (``_propose``) that was accepted, or
+    else a sweep. A run below ``_POLISH_BELOW`` tries a proposal first and
+    keeps it only if its leakage is strictly lower; after a rejection it
+    tries again only once its leakage has fallen tenfold below the rejected
+    level. Runs whose Gauss-Newton system would exceed ``_BATCH_BYTES``
+    only sweep. ``_stop_reason`` scales the plateau test by the leakage
+    level, which keeps slow descents toward tolerance going without letting
+    stalled runs burn the iteration budget. Every half-step updates all
+    users of all live runs at once, and a run leaves the stacks as soon as it
+    stops, so each run's iterates are exactly those it would take alone.
     """
     N = chs[0].N
     n, w = max(N), max(d)
@@ -193,13 +289,21 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
     h = _cross_stack(chs)
     h_rec = np.ascontiguousarray(h.conj().transpose(0, 2, 1, 4, 3))
     keep = np.arange(w) < np.array(d)[:, None]
-    sizes = np.array(N)
+    sizes, streams = np.array(N), np.array(d)
     groups = [(n_k, np.flatnonzero(sizes == n_k)) for n_k in sorted(set(N))]
+    shapes = [(n_k, d_k, np.flatnonzero((sizes == n_k) & (streams == d_k)))
+              for n_k, d_k in sorted(set(zip(N, d)))]
+    equations = sum(d) ** 2 - sum(d_k * d_k for d_k in d)
+    unknowns = 2 * sum(d_k * (n_k - d_k) for n_k, d_k in zip(N, d))
+    polish = equations * unknowns * np.dtype(complex).itemsize <= _BATCH_BYTES
+    layout = None
 
     live = list(range(len(chs)))
     trajectories: list[list[float]] = [[] for _ in chs]
+    retry_below = [_POLISH_BELOW] * len(chs)
     done: list = [None] * len(chs)
-    us, hv = _least_interference(h, vs, keep, groups)
+    ev = _complete(vs, shapes)
+    eu, us, hv = _least_interference(h, vs, keep, groups)
     while True:
         going = []
         for i, r in enumerate(live):
@@ -215,9 +319,31 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
             return done
         if len(going) < len(live):
             live = [live[i] for i in going]
-            h, h_rec, us = h[going], h_rec[going], us[going]
-        vs = _least_interference(h_rec, us, keep, groups)[0]
-        us, hv = _least_interference(h, vs, keep, groups)
+            h, h_rec, ev, vs, eu, us, hv = (x[going] for x in (h, h_rec, ev, vs, eu, us, hv))
+        ask = [i for i, r in enumerate(live) if trajectories[r][-1] < retry_below[r]] \
+            if polish else []
+        if not ask:
+            ev, vs, eu, us, hv = _sweep(h, h_rec, us, keep, groups)
+            continue
+        layout = layout or _gn_layout(N, d)
+        ev_p = _propose(h[ask], eu[ask], ev[ask], layout, shapes)
+        vs_p = ev_p[..., :w] * keep[:, None, :]
+        eu_p, us_p, hv_p = _least_interference(h[ask], vs_p, keep, groups)
+        took = []
+        for a, i in enumerate(ask):
+            level = trajectories[live[i]][-1]
+            if _cross_leakage(us_p[a][:, None], hv_p[a])[0] < level:
+                took.append(a)
+            else:
+                retry_below[live[i]] = level / 10
+        accepted = [ask[a] for a in took]
+        rest = [i for i in range(len(live)) if i not in accepted]
+        if rest:
+            ev[rest], vs[rest], eu[rest], us[rest], hv[rest] = \
+                _sweep(h[rest], h_rec[rest], us[rest], keep, groups)
+        if took:
+            ev[accepted], vs[accepted], eu[accepted], us[accepted], hv[accepted] = \
+                ev_p[took], vs_p[took], eu_p[took], us_p[took], hv_p[took]
 
 
 def _trial_channel_seed(cfg: SystemConfig, opts: SolverOptions, trial: int) -> int:

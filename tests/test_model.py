@@ -44,6 +44,22 @@ def test_generic_factory_coerces_scalars_to_tuples():
     assert cfg.structure.kind is StructureKind.GENERIC
 
 
+@pytest.mark.parametrize("name,value,build", [
+    ("N", 2, lambda x: generic_config(3, x, 1)),
+    ("d", 1, lambda x: generic_config(3, 2, x)),
+    ("d", 1, lambda x: diagonal_config(3, 4, x)),
+    ("M", 2, lambda x: block_diagonal_config(3, x, 2, 1)),
+    ("d", 1, lambda x: block_diagonal_config(3, 2, 2, x)),
+], ids=["generic-N", "generic-d", "diagonal-d", "block-diagonal-M", "block-diagonal-d"])
+def test_config_builders_broadcast_any_integer_scalar(name, value, build):
+    cfg = build(np.int64(value))
+    assert cfg == build(value)
+    assert all(type(x) is int for x in cfg.N + cfg.d)
+    with pytest.raises(InvalidSpec) as exc:
+        build(float(value))
+    assert str(exc.value) == f"{name} must be an integer, got {float(value)!r}"
+
+
 def test_diagonal_factory_sets_common_dimension():
     cfg = diagonal_config(3, 5, (3, 2, 2))
     assert cfg.N == (5, 5, 5)

@@ -64,32 +64,74 @@ def _fix_phase_loop(vectors):
 
 
 def _loop_trajectory(ch, d, opts, rng):
-    """Reference: the user-by-user solver the batched solver replaced."""
-    K, N = ch.K, ch.N
+    """Reference: the user-by-user solver the batched solver replaced, with
+    the Gauss-Newton polish written out pair by pair."""
+    K, N, H = ch.K, ch.N, ch.matrices
 
     def update(x, link):
+        # full eigenvector bases: the first d_k columns are the new subspace
         out = []
         for k in range(K):
             q = np.zeros((N[k], N[k]), dtype=complex)
             for j in range(K):
                 if j != k:
-                    g = link(k, j) @ x[j]
+                    g = link(k, j) @ x[j][:, :d[j]]
                     q += g @ g.conj().T
-            out.append(_fix_phase_loop(np.linalg.eigh(q)[1][:, :d[k]]))
+            out.append(_fix_phase_loop(np.linalg.eigh(q)[1]))
         return out
 
-    def leak(us, vs):
-        return float(sum(np.linalg.norm(us[j].conj().T @ ch.matrices[j][k] @ vs[k]) ** 2
-                         for j, k in cross_pairs(ch.K)))
+    def receive(vs):
+        return update(vs, lambda k, j: H[k][j])
 
-    vs = [np.linalg.qr(complex_normal(rng, N[k], d[k]))[0] for k in range(K)]
-    us = update(vs, lambda k, j: ch.matrices[k][j])
+    def transmit(us):
+        return update(us, lambda k, j: H[j][k].conj().T)
+
+    def leak(us, vs):
+        return float(sum(np.linalg.norm(us[j][:, :d[j]].conj().T @ H[j][k] @ vs[k][:, :d[k]])
+                         ** 2 for j, k in cross_pairs(K)))
+
+    def propose(us, vs):
+        # C + P_j M + W B_k = 0 for every pair; column-major vec:
+        # vec(P M) = (M^T kron I) vec(P), vec(W B) = (I kron W) vec(B)
+        sizes = [d[j] * (N[j] - d[j]) for j in range(K)] * 2
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        rows, rhs = [], []
+        for j, k in cross_pairs(K):
+            t = us[j].conj().T @ H[j][k] @ vs[k]
+            c, m, w = t[:d[j], :d[k]], t[d[j]:, :d[k]], t[:d[j], d[k]:]
+            row = np.zeros((d[j] * d[k], offsets[-1]), dtype=complex)
+            row[:, offsets[j]:offsets[j + 1]] = np.kron(m.T, np.eye(d[j]))
+            row[:, offsets[K + k]:offsets[K + k + 1]] = np.kron(np.eye(d[k]), w)
+            rows.append(row)
+            rhs.append(-c.reshape(-1, order="F"))
+        step = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)[0]
+        out = []
+        for k in range(K):
+            b = step[offsets[K + k]:offsets[K + k + 1]].reshape(N[k] - d[k], d[k], order="F")
+            out.append(np.linalg.qr(vs[k][:, :d[k]] + vs[k][:, d[k]:] @ b,
+                                    mode="complete")[0])
+        return out
+
+    vs = [np.linalg.qr(complex_normal(rng, N[k], d[k]), mode="complete")[0] for k in range(K)]
+    us = receive(vs)
     traj = [leak(us, vs)]
+    retry_below = solve._POLISH_BELOW
     for _ in range(opts.max_iters):
         if traj[-1] == 0.0:
             break
-        vs = update(us, lambda k, j: ch.matrices[j][k].conj().T)
-        us = update(vs, lambda k, j: ch.matrices[k][j])
+        step = None
+        if traj[-1] < retry_below:
+            vs_p = propose(us, vs)
+            us_p = receive(vs_p)
+            if leak(us_p, vs_p) < traj[-1]:
+                step = us_p, vs_p
+            else:
+                retry_below = traj[-1] / 10
+        if step is None:
+            vs = transmit(us)
+            us = receive(vs)
+        else:
+            us, vs = step
         traj.append(leak(us, vs))
         level = max(traj[-1], opts.tol_align)
         if abs(traj[-2] - traj[-1]) < opts.tol_align / 10 * level:
@@ -121,6 +163,57 @@ def test_batched_solver_matches_the_loop_solver(cfg):
         np.testing.assert_allclose(traj, ref, rtol=1e-9,
                                    atol=10 * np.finfo(float).eps * ref[0])
         assert sol.N == cfg.N and sol.d == cfg.d
+
+
+def test_polish_stops_runs_soon_after_crossing():
+    crossed = 0
+    for seed in range(10):
+        opts = SolverOptions(max_iters=500, trials=2, seed=seed)
+        for rec in run_trials(generic_config(3, 2, 1, seed=seed), opts):
+            below = np.flatnonzero(np.array(rec.trajectory) < solve._POLISH_BELOW)
+            if below.size:
+                crossed += 1
+                assert rec.iters - below[0] <= 12, (seed, rec.trial, rec.iters, below[0])
+    assert crossed > 10
+
+
+def _plain_and_polished(monkeypatch, cfg, opts, seed):
+    """(plain, polished) results of one run: without any proposal, then as is."""
+    ch = sample_channels(cfg)
+    with monkeypatch.context() as plain:
+        plain.setattr(solve, "_POLISH_BELOW", 0.0)
+        without = _minimize_runs([ch], cfg.d, opts, [substream(seed, 1)])[0]
+    return without, _minimize_runs([ch], cfg.d, opts, [substream(seed, 1)])[0]
+
+
+def _assert_bit_equal(a, b):
+    (sol_a, traj_a, reason_a), (sol_b, traj_b, reason_b) = a, b
+    assert (traj_a, reason_a) == (traj_b, reason_b)
+    for got, want in zip(sol_a.V + sol_a.U, sol_b.V + sol_b.U, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_rejected_proposal_leaves_a_plain_sweep(monkeypatch):
+    cfg, opts = generic_config(3, 2, 1, seed=1), SolverOptions(max_iters=500)
+    tried = []
+
+    def worse(h, eu, ev, layout, shapes):
+        tried.append(len(ev))
+        return np.roll(ev, 1, axis=-1)        # a complement direction: leakage order one
+
+    monkeypatch.setattr(solve, "_propose", worse)
+    plain, rejected = _plain_and_polished(monkeypatch, cfg, opts, seed=0)
+    assert len(tried) >= 2                    # tried, then again after the back-off
+    _assert_bit_equal(rejected, plain)
+
+
+def test_run_over_the_jacobian_budget_only_sweeps(monkeypatch):
+    cfg, opts = generic_config(3, 2, 1, seed=1), SolverOptions(max_iters=500)
+    plain, polished = _plain_and_polished(monkeypatch, cfg, opts, seed=0)
+    assert len(polished[1]) < len(plain[1])
+    # 6 equations in 6 complex unknowns: 576 bytes
+    monkeypatch.setattr(solve, "_BATCH_BYTES", 6 * 6 * 16 - 1)
+    _assert_bit_equal(_plain_and_polished(monkeypatch, cfg, opts, seed=0)[1], plain)
 
 
 def test_options_validation():
