@@ -15,11 +15,11 @@ half-steps and the leakage, depends only on the spanned subspaces.
 Alternating minimization converges only linearly, so below a leakage of
 ``_POLISH_BELOW`` (1e-4) a run first tries a Gauss-Newton proposal: the
 min-norm least-squares step that zeroes every cross product to first order,
-built from the complements that ``eigh`` already returns, then a receive
-half-step. The proposal is kept only if the leakage falls strictly; otherwise
-the run sweeps from the same state. So each iteration, and each trajectory
-point, is one accepted proposal or one sweep, and the trajectory never
-increases. After a rejection a run tries again only once its leakage has
+built on the complements that one complete QR of the current bases gives, then
+a receive half-step. The proposal is kept only if the leakage falls strictly;
+otherwise the run sweeps from the same state. So each iteration, and each
+trajectory point, is one accepted proposal or one sweep, and the trajectory
+never increases. After a rejection a run tries again only once its leakage has
 fallen tenfold below the rejected level, and a run whose system would exceed
 ``_BATCH_BYTES`` only sweeps. A run that stops drops out of the stacks; the
 others iterate on exactly as they would alone. The classifier solves all its
@@ -74,7 +74,7 @@ class SolverOptions:
     def __post_init__(self) -> None:
         for name in ("max_iters", "restarts", "trials"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
-        _check_tolerance(self.tol_align)
+        object.__setattr__(self, "tol_align", _check_tolerance(self.tol_align))
         object.__setattr__(self, "seed", _seed(self.seed))
 
 
@@ -134,42 +134,39 @@ def _cross_stack(chs: list[ChannelSet]) -> np.ndarray:
 
 
 def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
-                        groups: list[tuple[int, np.ndarray]]
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        groups: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """One half-step of many runs: every receiver's least-interference subspace.
 
     ``h`` is an (R, K, K, N_max, N_max) stack of R runs' channels with zero
     direct pairs and ``x`` the (R, K, N_max, d_max) stack of transmit bases.
     The interference covariance at receiver k of run r is G G^H, where G lines
-    up the images h[r, k, j] @ x[r, j] over all j. Its eigenvectors, one
-    batched ``eigh`` per distinct N_k in ``groups``, fill receiver k's
-    N_k x N_k block of the (R, K, N_max, N_max) full bases in ascending order,
-    with the column phases ``eigh`` gives: the first d_k columns span the new
-    subspace and the next N_k - d_k its complement. The new receive bases are
-    the full bases' first d_max columns, with the rest zeroed by ``keep``
-    (K, d_max). Returns the full bases, the receive bases and the
+    up the images h[r, k, j] @ x[r, j] over all j. One batched ``eigh`` per
+    distinct N_k in ``groups`` gives its eigenvectors in ascending order, with
+    the column phases ``eigh`` gives; the first d_k span the new subspace.
+    The new receive bases are their first d_max columns, with the rest zeroed
+    by ``keep`` (K, d_max). Returns the receive bases and the
     (R, K, K, N_max, d_max) stack of images.
     """
     R, K, n, w = x.shape
     hx = h @ x[:, None]
     g = hx.transpose(0, 1, 3, 2, 4).reshape(R, K, n, K * w)
     q = g @ g.conj().swapaxes(-1, -2)
-    if len(groups) == 1:
+    if len(groups) == 1:    # skips a zeroed copy and a scatter: about 30% of a call at N=2
         full = np.linalg.eigh(q)[1]
     else:
         full = np.zeros_like(q)
         for n_k, users in groups:
             full[:, users, :n_k, :n_k] = np.linalg.eigh(q[:, users, :n_k, :n_k])[1]
-    return full, full[..., :w] * keep[:, None, :], hx
+    return full[..., :w] * keep[:, None, :], hx
 
 
 def _sweep(h: np.ndarray, h_rec: np.ndarray, us: np.ndarray, keep: np.ndarray,
            groups: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, ...]:
     """One sweep of many runs: the transmit half-step, in the reciprocal
-    network ``h_rec``, then the receive half-step. Returns the full transmit
-    bases, the transmit bases, then the receive half-step's three outputs."""
-    ev, vs, _ = _least_interference(h_rec, us, keep, groups)
-    return (ev, vs, *_least_interference(h, vs, keep, groups))
+    network ``h_rec``, then the receive half-step. Returns the transmit bases,
+    the receive bases and the images."""
+    vs, _ = _least_interference(h_rec, us, keep, groups)
+    return (vs, *_least_interference(h, vs, keep, groups))
 
 
 def _complete(v: np.ndarray, shapes: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
@@ -223,16 +220,18 @@ def _gn_layout(N: tuple[int, ...], d: tuple[int, ...]
     return flat(rj, rk, ra, rb)[:, 0], jac, (bk[0], bq[0], bb[0]), lift
 
 
-def _propose(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, layout: tuple,
+def _propose(h: np.ndarray, us: np.ndarray, vs: np.ndarray, layout: tuple,
              shapes: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
     """One Gauss-Newton step of many runs; returns the full transmit bases.
 
-    ``eu`` and ``ev`` are the runs' full receive and transmit bases. Each
-    run, alone, takes the min-norm least-squares (P, B) of the system that
+    ``us`` and ``vs`` are the runs' receive and transmit bases, which
+    ``_complete`` extends to full bases [U U^perp] and [V V^perp]. Each run,
+    alone, takes the min-norm least-squares (P, B) of the system that
     ``_gn_layout`` lays out, the first-order condition that every cross
     product vanish, and proposes orth(V + V^perp B).
     """
     cross, jac, b_at, lift = layout
+    eu, ev = _complete(us, shapes), _complete(vs, shapes)
     t = eu.conj().swapaxes(-1, -2)[:, :, None] @ h @ ev[:, None]
     t = np.concatenate([t.reshape(len(t), -1), np.zeros((len(t), 1))], axis=1)
     y = np.repeat(lift[None], len(t), axis=0)
@@ -302,8 +301,7 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
     trajectories: list[list[float]] = [[] for _ in chs]
     retry_below = [_POLISH_BELOW] * len(chs)
     done: list = [None] * len(chs)
-    ev = _complete(vs, shapes)
-    eu, us, hv = _least_interference(h, vs, keep, groups)
+    us, hv = _least_interference(h, vs, keep, groups)
     while True:
         going = []
         for i, r in enumerate(live):
@@ -319,16 +317,15 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
             return done
         if len(going) < len(live):
             live = [live[i] for i in going]
-            h, h_rec, ev, vs, eu, us, hv = (x[going] for x in (h, h_rec, ev, vs, eu, us, hv))
+            h, h_rec, vs, us, hv = (x[going] for x in (h, h_rec, vs, us, hv))
         ask = [i for i, r in enumerate(live) if trajectories[r][-1] < retry_below[r]] \
             if polish else []
         if not ask:
-            ev, vs, eu, us, hv = _sweep(h, h_rec, us, keep, groups)
+            vs, us, hv = _sweep(h, h_rec, us, keep, groups)
             continue
         layout = layout or _gn_layout(N, d)
-        ev_p = _propose(h[ask], eu[ask], ev[ask], layout, shapes)
-        vs_p = ev_p[..., :w] * keep[:, None, :]
-        eu_p, us_p, hv_p = _least_interference(h[ask], vs_p, keep, groups)
+        vs_p = _propose(h[ask], us[ask], vs[ask], layout, shapes)[..., :w] * keep[:, None, :]
+        us_p, hv_p = _least_interference(h[ask], vs_p, keep, groups)
         took = []
         for a, i in enumerate(ask):
             level = trajectories[live[i]][-1]
@@ -339,11 +336,9 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
         accepted = [ask[a] for a in took]
         rest = [i for i in range(len(live)) if i not in accepted]
         if rest:
-            ev[rest], vs[rest], eu[rest], us[rest], hv[rest] = \
-                _sweep(h[rest], h_rec[rest], us[rest], keep, groups)
+            vs[rest], us[rest], hv[rest] = _sweep(h[rest], h_rec[rest], us[rest], keep, groups)
         if took:
-            ev[accepted], vs[accepted], eu[accepted], us[accepted], hv[accepted] = \
-                ev_p[took], vs_p[took], eu_p[took], us_p[took], hv_p[took]
+            vs[accepted], us[accepted], hv[accepted] = vs_p[took], us_p[took], hv_p[took]
 
 
 def _trial_channel_seed(cfg: SystemConfig, opts: SolverOptions, trial: int) -> int:

@@ -1,9 +1,11 @@
 """Tolerant subspace primitives shared by the verifier, constructor and probe.
 
-Every rank decision in the package uses the same convention: a singular value
-counts as zero when it is below max(m, n) * eps * sigma_max. Ranks are also
-counted matrix by matrix over a stack (..., m, n). Bases returned here always
-have orthonormal columns.
+Every rank decided here uses the same convention: a singular value counts as
+zero when it is below max(m, n) * eps * sigma_max. Ranks are also counted
+matrix by matrix over a stack (..., m, n). Bases returned here always have
+orthonormal columns. One rank decision in the package does not use this
+convention: ``cj3._krylov_basis`` declares a Krylov breakdown, without an
+SVD, when a new direction's norm is at most 100 * N_s * eps * max(scale, 1).
 """
 
 from __future__ import annotations
@@ -31,18 +33,13 @@ def _rank_from_singular_values(shape: tuple[int, ...], s: np.ndarray) -> int | n
     leading shape.
     """
     cutoff = max(shape[-2:]) * np.finfo(float).eps    # times each matrix's sigma_max
-    if s.ndim > 1:
-        return np.count_nonzero(s > cutoff * s[..., :1], axis=-1)
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > cutoff * float(s[0])))
+    rank = np.count_nonzero(s > cutoff * s[..., :1], axis=-1)
+    return rank if s.ndim > 1 else int(rank)
 
 
 def numerical_rank(a: np.ndarray) -> int | np.ndarray:
     """Rank of ``a`` under the shared singular-value cutoff; per matrix for a stack."""
     a = np.asarray(a)
-    if a.size == 0:
-        return np.zeros(a.shape[:-2], dtype=int) if a.ndim > 2 else 0
     s = np.linalg.svd(a, compute_uv=False)
     return _rank_from_singular_values(a.shape, s)
 
@@ -54,8 +51,6 @@ def orthonormal_columns(a: np.ndarray) -> tuple[np.ndarray, int]:
     rank compare the rank against a.shape[1] themselves.
     """
     a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex), 0
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = _rank_from_singular_values(a.shape, s)
     return u[:, :rank], rank
@@ -64,10 +59,6 @@ def orthonormal_columns(a: np.ndarray) -> tuple[np.ndarray, int]:
 def nullspace_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right nullspace of ``a`` (may have 0 columns)."""
     a = np.asarray(a, dtype=complex)
-    if a.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     rank = _rank_from_singular_values(a.shape, s)
     return vh[rank:].conj().T

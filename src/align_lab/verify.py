@@ -47,10 +47,14 @@ class VerificationResult:
     tol_align: float
 
 
-def _check_tolerance(tol_align: float) -> None:
-    """Raise ValueError unless ``tol_align`` is finite and positive."""
-    if not 0 < tol_align < float("inf"):
+def _check_tolerance(tol_align: float) -> float:
+    """``tol_align`` as a float; ValueError unless it is a finite positive
+    Python or numpy integer or float. A bool is no tolerance, so ``True``
+    raises too."""
+    real = isinstance(tol_align, (int, float, np.integer, np.floating))
+    if not real or isinstance(tol_align, bool) or not 0 < tol_align < float("inf"):
         raise ValueError(f"tol_align must be finite and positive, got {tol_align}")
+    return float(tol_align)
 
 
 def _check_dims(ch: ChannelSet, sol: IaSolution) -> None:
@@ -95,7 +99,7 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     subspace, since the metric is then not about the intended subspace at all.
     Raises ValueError unless ``tol_align`` is finite and positive.
     """
-    _check_tolerance(tol_align)
+    tol_align = _check_tolerance(tol_align)
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
     leak = worst = 0.0

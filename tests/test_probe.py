@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from align_lab import probe
-from align_lab.cli import main
+from align_lab.cli import _json_text, main
 from align_lab.counting import dim_channel_space, equation_count, sparse_dim_deficit
 from align_lab.model import (
     ChannelSet,
@@ -352,6 +352,20 @@ def test_stacked_ranks_match_numerical_rank_per_matrix(lead, m, n):
         assert ranks[idx] == numerical_rank(stack[idx])
     if stack.size:
         assert ranks[(0,) * len(lead)] == 0
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+def test_empty_matrices_have_rank_zero_and_complete_nullspaces(m, n):
+    a = np.zeros((m, n), dtype=complex)
+    rank = numerical_rank(a)
+    assert type(rank) is int and rank == 0
+    assert _json_text({"direct_ranks": [rank]}) == '{\n  "direct_ranks": [\n    0\n  ]\n}'
+    q, rank = orthonormal_columns(a)
+    assert q.shape == (m, 0) and q.dtype == complex
+    assert type(rank) is int and rank == 0
+    null = nullspace_basis(a)
+    assert null.shape == (n, n) and null.dtype == complex
+    assert np.array_equal(null, np.eye(n))     # with no equations, all of C^n
 
 
 def test_probe_memory_stays_at_one_block_per_call():

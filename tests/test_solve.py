@@ -197,14 +197,48 @@ def test_rejected_proposal_leaves_a_plain_sweep(monkeypatch):
     cfg, opts = generic_config(3, 2, 1, seed=1), SolverOptions(max_iters=500)
     tried = []
 
-    def worse(h, eu, ev, layout, shapes):
-        tried.append(len(ev))
-        return np.roll(ev, 1, axis=-1)        # a complement direction: leakage order one
+    def worse(h, us, vs, layout, shapes):
+        tried.append(len(vs))
+        # [V V^perp] rolled to [V^perp V]: the proposal is the complement, leakage order one
+        return np.roll(solve._complete(vs, shapes), 1, axis=-1)
 
     monkeypatch.setattr(solve, "_propose", worse)
     plain, rejected = _plain_and_polished(monkeypatch, cfg, opts, seed=0)
     assert len(tried) >= 2                    # tried, then again after the back-off
     _assert_bit_equal(rejected, plain)
+
+
+@pytest.mark.parametrize("cfg", [
+    generic_config(3, 2, 1, seed=1),
+    diagonal_config(3, 7, (4, 3, 3), seed=1),
+], ids=["generic-3-2-1", "diagonal-7-433"])
+def test_proposal_depends_only_on_the_spans(monkeypatch, cfg):
+    """The same spans in other bases propose the same transmit spans.
+
+    ``_propose`` completes U and V itself, so a unitary change of basis within
+    each U_k and V_k changes only the complement bases, under which the
+    min-norm step is invariant.
+    """
+    propose, calls = solve._propose, []
+
+    def recorded(*args):
+        calls.append(args)
+        return propose(*args)
+
+    monkeypatch.setattr(solve, "_propose", recorded)
+    _minimize_runs([sample_channels(cfg)], cfg.d, SolverOptions(max_iters=300), [substream(0, 1)])
+    h, us, vs, layout, shapes = calls[0]        # the first state below _POLISH_BELOW
+    rng = substream(3, 7)
+    turn = np.zeros((cfg.K, max(cfg.d), max(cfg.d)), dtype=complex)
+    for k, d_k in enumerate(cfg.d):
+        turn[k, :d_k, :d_k] = np.linalg.qr(complex_normal(rng, d_k, d_k))[0]
+    want = propose(h, us, vs, layout, shapes)
+    got = propose(h, us @ turn, vs @ turn, layout, shapes)
+    for k, (n_k, d_k) in enumerate(zip(cfg.N, cfg.d)):
+        a, b = want[0, k, :n_k, :d_k], got[0, k, :n_k, :d_k]
+        assert not np.allclose(a, b)             # other bases ...
+        sine = np.linalg.norm(b - a @ (a.conj().T @ b), 2)
+        assert sine <= 1e-10                     # ... of the same span
 
 
 def test_run_over_the_jacobian_budget_only_sweeps(monkeypatch):

@@ -19,6 +19,7 @@ from align_lab.model import (
     sample_channels,
     substream,
 )
+from align_lab.solve import SolverOptions
 from align_lab.verify import check
 
 
@@ -110,6 +111,23 @@ def test_result_serialization_round_trips_through_json():
     assert doc["direct_ranks"] == [2, 1, 1]
     assert doc["tolerances"]["tol_align"] == 1e-8
     assert isinstance(doc["leakage"], float)
+
+
+@pytest.mark.parametrize("tol", [True, False, "1e-8", None, 1e-8j, np.bool_(True)],
+                         ids=["True", "False", "str", "None", "complex", "numpy-bool"])
+def test_tolerance_must_be_a_real_number(tol):
+    cfg = generic_config(2, 2, 1)
+    with pytest.raises(ValueError, match="tol_align must be finite and positive, got "):
+        SolverOptions(tol_align=tol)
+    with pytest.raises(ValueError, match="tol_align must be finite and positive, got "):
+        check(sample_channels(cfg), random_solution(cfg), tol_align=tol)
+
+
+def test_tolerance_is_stored_as_a_float():
+    ch, sol = identity_case()
+    for tol in (1, np.float32(0.5), 1e-8):
+        stored = (SolverOptions(tol_align=tol).tol_align, check(ch, sol, tol_align=tol).tol_align)
+        assert all(type(x) is float and x == float(tol) for x in stored)
 
 
 def test_tighter_tolerance_flips_the_verdict():
