@@ -132,13 +132,13 @@ def cmd_contradiction(args: argparse.Namespace):
 
 def _verification_row(res: VerificationResult) -> dict:
     """The flat CSV fields of a check, shared by ``cj3`` and ``verify``."""
-    return {"leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
+    return {"leakage": res.leakage, "max_cross_residual": res.max_cross_residual,
             "direct_ranks": ";".join(str(r) for r in res.direct_ranks),
             "aligned": res.aligned, "rank_ok": res.rank_ok}
 
 
 def _verification_json(res: VerificationResult) -> dict:
-    return {"leakage": res.leakage, "min_cross_residual": res.min_cross_residual,
+    return {"leakage": res.leakage, "max_cross_residual": res.max_cross_residual,
             "direct_ranks": list(res.direct_ranks), "aligned": res.aligned,
             "rank_ok": res.rank_ok, "tolerances": {"tol_align": res.tol_align}}
 
@@ -187,7 +187,8 @@ def cmd_solve(args: argparse.Namespace):
     digest = _config_digest(cfg)
     runs = [{"config": digest, "trial": r.trial, "restart": r.restart,
              "iters": r.iters, "stop_reason": r.stop_reason,
-             "final_leakage": r.final_leakage, "rank_ok": r.rank_ok}
+             "final_leakage": r.final_leakage,
+             "max_interference_to_signal": r.max_interference_to_signal, "rank_ok": r.rank_ok}
             for r in verdict.records]
     median, p90 = verdict.leakage_quantiles
     payload = {
@@ -198,6 +199,7 @@ def cmd_solve(args: argparse.Namespace):
         "classification": verdict.classification.value,
         "witness_found": verdict.witness_found,
         "witness_status": verdict.witness_status,
+        "evidence": dataclasses.asdict(verdict.evidence),
         "runs": runs,
         "options": {"trials": opts.trials, "restarts": opts.restarts,
                     "max_iters": opts.max_iters, "tol_align": opts.tol_align,

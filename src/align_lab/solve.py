@@ -12,20 +12,25 @@ distinct N_k. The iterates are orthonormal bases whose column phases are
 whatever ``eigh`` returns; the covariance sum_j H V_j V_j^H H^H, hence both
 half-steps and the leakage, depends only on the spanned subspaces.
 
-Alternating minimization converges only linearly, so below a leakage of
-``_POLISH_BELOW`` (1e-4) a run first tries a Gauss-Newton proposal: the
-min-norm least-squares step that zeroes every cross product to first order,
-built on the complements that one complete QR of the current bases gives, then
-a receive half-step. The proposal is kept only if the leakage falls strictly;
-otherwise the run sweeps from the same state. So each iteration, and each
-trajectory point, is one accepted proposal or one sweep, and the trajectory
-never increases. After a rejection a run tries again only once its leakage has
-fallen tenfold below the rejected level, and a run whose system would exceed
-``_BATCH_BYTES`` only sweeps. A run that stops drops out of the stacks; the
-others iterate on exactly as they would alone. The classifier solves all its
-channel draws and restarts together, then buckets the outcome; absence of
-success is weak evidence (local minima exist), so the thresholds are
-deliberately asymmetric and a known explicit witness overrides solver failure.
+Alternating minimization converges only linearly, so every iteration of a run
+first tries a Gauss-Newton step: the min-norm solution of the linearized cross
+equations, built on the complements that the iterates' full bases already hold
+(the ``eigh`` of each half-step and the complete QR of each accepted step give
+them), found for all asking runs by one stacked solve of the normal equations,
+or of J itself where J is square. A backtracking line search tries the full
+step, then 1/2, 1/4, 1/8 and 1/16 of it, each followed by a receive half-step,
+and keeps the largest scale whose leakage falls strictly; if none does, the
+run sweeps from the same state. So each iteration, and each trajectory point,
+is one accepted step or one sweep, and the trajectory never increases. After a
+run rejects every scale it tries again only once its leakage has fallen
+tenfold below the rejected level. Runs propose only when their cross equations
+do not outnumber the unknowns, the count under which the step can zero every
+cross product, and their system fits ``_BATCH_BYTES``; other runs only sweep.
+A run that stops drops out of the stacks; the others iterate on exactly as
+they would alone. The classifier solves all its channel draws and restarts
+together, then buckets the outcome; absence of success is weak evidence
+(local minima exist), so the thresholds are deliberately asymmetric and a
+known explicit witness overrides solver failure.
 """
 
 from __future__ import annotations
@@ -41,12 +46,13 @@ from .errors import DegenerateSpan, RankDeficient, SingularChannel
 from .model import (ChannelSet, IaSolution, SystemConfig, _count, _seed, complex_normal,
                     cross_pairs, pair_support, sample_channels, substream)
 from .subspaces import _BATCH_BYTES
-from .verify import TOL_ALIGN, _check_tolerance, _cross_leakage, check
+from .verify import TOL_ALIGN, TOL_ISR, _check_tolerance, _cross_leakage, check
 
 __all__ = [
     "SolverOptions",
     "RunRecord",
     "Classification",
+    "Evidence",
     "FeasibilityVerdict",
     "run_trials",
     "classify",
@@ -54,7 +60,7 @@ __all__ = [
 
 _TRIAL_SALT = 65537    # derives per-trial channel seeds
 _RESTART_SALT = 9973   # derives per-(trial, restart) init streams
-_POLISH_BELOW = 1e-4   # leakage below which a run first tries a Gauss-Newton step
+_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)   # line-search step scales, full step first
 
 
 class Classification(enum.Enum):
@@ -83,7 +89,8 @@ class RunRecord:
     """One (channel draw, restart) solver run.
 
     ``stop_reason`` says why the run ended: ``zero`` (exact zero leakage),
-    ``plateau`` or ``max_iters``.
+    ``plateau`` or ``max_iters``. ``max_interference_to_signal`` is the
+    worst receiver's ``interference_to_signal`` in the final ``check``.
     """
 
     trial: int
@@ -91,11 +98,27 @@ class RunRecord:
     iters: int
     stop_reason: str
     final_leakage: float
+    max_interference_to_signal: float
     aligned: bool
     rank_ok: bool
     success: bool
     trajectory: tuple[float, ...]
     solution: IaSolution
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """What the runs of a verdict cannot show.
+
+    ``runs_at_max_iters`` counts runs stopped by the iteration budget while
+    still descending, which are no evidence of infeasibility.
+    ``aligned_above_tol_isr`` counts aligned runs whose worst
+    interference-to-signal ratio exceeds ``TOL_ISR``: they reached zero
+    leakage by losing signal, not by aligning it.
+    """
+
+    runs_at_max_iters: int
+    aligned_above_tol_isr: int
 
 
 @dataclass(frozen=True)
@@ -107,7 +130,9 @@ class FeasibilityVerdict:
     ``not_applicable`` (not ``cj_config(3, n)`` for any n, seed aside),
     ``verified``, ``failed_check`` (built, but the verifier rejects it) or
     ``raised: <ErrorName>: <message>``. A verified witness settles existence
-    regardless of the solver's success rate.
+    regardless of the solver's success rate. ``evidence`` counts the runs
+    that say less than their ``success`` flag suggests; it does not enter
+    the classification.
     """
 
     success_rate: float
@@ -115,6 +140,7 @@ class FeasibilityVerdict:
     leakage_quantiles: tuple[float, float]
     classification: Classification
     witness_status: str
+    evidence: Evidence
     records: tuple[RunRecord, ...]
 
     @property
@@ -133,7 +159,7 @@ def _cross_stack(chs: list[ChannelSet]) -> np.ndarray:
     return h
 
 
-def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
+def _least_interference(h: np.ndarray, x: np.ndarray,
                         groups: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """One half-step of many runs: every receiver's least-interference subspace.
 
@@ -142,31 +168,35 @@ def _least_interference(h: np.ndarray, x: np.ndarray, keep: np.ndarray,
     The interference covariance at receiver k of run r is G G^H, where G lines
     up the images h[r, k, j] @ x[r, j] over all j. One batched ``eigh`` per
     distinct N_k in ``groups`` gives its eigenvectors in ascending order, with
-    the column phases ``eigh`` gives; the first d_k span the new subspace.
-    The new receive bases are their first d_max columns, with the rest zeroed
-    by ``keep`` (K, d_max). Returns the receive bases and the
-    (R, K, K, N_max, d_max) stack of images.
+    the column phases ``eigh`` gives: the first d_k span the new subspace and
+    the next N_k - d_k its complement. Returns these full (R, K, N_max, N_max)
+    receive bases and the (R, K, K, N_max, d_max) stack of images.
     """
     R, K, n, w = x.shape
     hx = h @ x[:, None]
     g = hx.transpose(0, 1, 3, 2, 4).reshape(R, K, n, K * w)
     q = g @ g.conj().swapaxes(-1, -2)
     if len(groups) == 1:    # skips a zeroed copy and a scatter: about 30% of a call at N=2
-        full = np.linalg.eigh(q)[1]
-    else:
-        full = np.zeros_like(q)
-        for n_k, users in groups:
-            full[:, users, :n_k, :n_k] = np.linalg.eigh(q[:, users, :n_k, :n_k])[1]
-    return full[..., :w] * keep[:, None, :], hx
+        return np.linalg.eigh(q)[1], hx
+    full = np.zeros_like(q)
+    for n_k, users in groups:
+        full[:, users, :n_k, :n_k] = np.linalg.eigh(q[:, users, :n_k, :n_k])[1]
+    return full, hx
+
+
+def _spans(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The (..., K, N_max, d_max) iterates in full bases: each user's first
+    d_k columns, the rest zeroed by the (K, 1, d_max) mask ``keep``."""
+    return full[..., :keep.shape[-1]] * keep
 
 
 def _sweep(h: np.ndarray, h_rec: np.ndarray, us: np.ndarray, keep: np.ndarray,
            groups: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, ...]:
-    """One sweep of many runs: the transmit half-step, in the reciprocal
-    network ``h_rec``, then the receive half-step. Returns the transmit bases,
-    the receive bases and the images."""
-    vs, _ = _least_interference(h_rec, us, keep, groups)
-    return (vs, *_least_interference(h, vs, keep, groups))
+    """One sweep of many runs from the receive bases ``us``: the transmit
+    half-step, in the reciprocal network ``h_rec``, then the receive
+    half-step. Returns the full transmit and receive bases and the images."""
+    ev, _ = _least_interference(h_rec, us, groups)
+    return (ev, *_least_interference(h, _spans(ev, keep), groups))
 
 
 def _complete(v: np.ndarray, shapes: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
@@ -181,8 +211,23 @@ def _complete(v: np.ndarray, shapes: list[tuple[int, int, np.ndarray]]) -> np.nd
     return full
 
 
+def _gn_shape(N: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, int] | None:
+    """(N_e, N_v) of one run's Gauss-Newton system J, or None if its runs
+    never propose.
+
+    N_e counts the cross equations, sum over j != k of d_j d_k, and N_v the
+    unknowns, 2 sum_k d_k (N_k - d_k). Runs propose iff N_e <= N_v, so that
+    the min-norm step can zero every cross product to first order, and J fits
+    ``_BATCH_BYTES``.
+    """
+    equations = sum(d) ** 2 - sum(d_k * d_k for d_k in d)
+    unknowns = 2 * sum(d_k * (n_k - d_k) for n_k, d_k in zip(N, d))
+    fits = equations * unknowns * np.dtype(complex).itemsize <= _BATCH_BYTES
+    return (equations, unknowns) if equations <= unknowns and fits else None
+
+
 def _gn_layout(N: tuple[int, ...], d: tuple[int, ...]
-               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], int]:
     """Where the Gauss-Newton system of one run sits in its blocks.
 
     The blocks are T[j, k] = [U_j U_j^perp]^H H[j][k] [V_k V_k^perp] of the
@@ -192,10 +237,10 @@ def _gn_layout(N: tuple[int, ...], d: tuple[int, ...]
     the unknowns P_j (d_j x (N_j - d_j)) and B_k ((N_k - d_k) x d_k). Returns
     the indices of C's entries (N_e,), of the system matrix J (N_e, N_v, with
     P's unknowns first and its absent entries on the zero), the (user, row,
-    column) positions of B's unknowns in a (K, N_max, d_max) array, and that
-    array's identity part: V + V^perp B = [V V^perp] (lift + B).
+    column) positions of B's unknowns in a (K, N_max, d_max) array B', and
+    d_max. B' is B under d_k zero rows, so V^perp B = [V V^perp] B'.
     """
-    K, n, w = len(N), max(N), max(d)
+    K, n = len(N), max(N)
     zero = K * K * n * n
 
     def columns(entries, width):
@@ -214,31 +259,81 @@ def _gn_layout(N: tuple[int, ...], d: tuple[int, ...]
     jac = np.concatenate([
         np.where((rj == pj) & (ra == pa), flat(rj, rk, pq, rb), zero),
         np.where((rk == bk) & (rb == bb), flat(rj, rk, ra, bq), zero)], axis=1)
-    lift = np.zeros((K, n, w), dtype=complex)
-    for k, d_k in enumerate(d):
-        lift[k, :d_k, :d_k] = np.eye(d_k)
-    return flat(rj, rk, ra, rb)[:, 0], jac, (bk[0], bq[0], bb[0]), lift
+    return flat(rj, rk, ra, rb)[:, 0], jac, (bk[0], bq[0], bb[0]), max(d)
 
 
-def _propose(h: np.ndarray, us: np.ndarray, vs: np.ndarray, layout: tuple,
-             shapes: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    """One Gauss-Newton step of many runs; returns the full transmit bases.
+def _propose(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, layout: tuple) -> np.ndarray:
+    """Gauss-Newton directions V^perp B of many runs; (R, K, N_max, d_max).
 
-    ``us`` and ``vs`` are the runs' receive and transmit bases, which
-    ``_complete`` extends to full bases [U U^perp] and [V V^perp]. Each run,
-    alone, takes the min-norm least-squares (P, B) of the system that
-    ``_gn_layout`` lays out, the first-order condition that every cross
-    product vanish, and proposes orth(V + V^perp B).
+    ``eu`` and ``ev`` are the runs' full receive and transmit bases
+    [U U^perp] and [V V^perp]. Each run takes the min-norm solution (P, B) of
+    the system J x = -c that ``_gn_layout`` lays out, the first-order
+    condition that every cross product vanish: x = J^H (J J^H)^-1 (-c), or
+    J^-1 (-c) when J is square, one stacked solve for all runs. If some
+    system is exactly singular, the runs are solved one by one and only the
+    singular ones by ``lstsq``, so each run's direction is the one it gets
+    alone.
     """
-    cross, jac, b_at, lift = layout
-    eu, ev = _complete(us, shapes), _complete(vs, shapes)
+    cross, jac, b_at, w = layout
+    R, K, n, _ = ev.shape
     t = eu.conj().swapaxes(-1, -2)[:, :, None] @ h @ ev[:, None]
-    t = np.concatenate([t.reshape(len(t), -1), np.zeros((len(t), 1))], axis=1)
-    y = np.repeat(lift[None], len(t), axis=0)
-    for i, blocks in enumerate(t):
-        step = np.linalg.lstsq(blocks[jac], -blocks[cross], rcond=None)[0]
-        y[i][b_at] = step[step.size - b_at[0].size:]
-    return _complete(ev @ y, shapes)
+    t = np.concatenate([t.reshape(R, -1), np.zeros((R, 1))], axis=1)
+    # take keeps the runs outermost; t[:, jac] puts them innermost, and matmul
+    # then rounds by batch size
+    j, c = np.take(t, jac, axis=1), -t[:, cross, None]
+    unknowns, jh_b = len(b_at[0]), None
+    if j.shape[1] == j.shape[2]:    # its own min-norm solve, at J's condition number
+        system = j
+    else:
+        jh = j.conj().swapaxes(-1, -2)
+        system, jh_b = j @ jh, jh[:, -unknowns:]
+
+    def solved(runs: slice) -> np.ndarray:
+        y = np.linalg.solve(system[runs], c[runs])
+        return (y[:, -unknowns:] if jh_b is None else jh_b[runs] @ y)[..., 0]
+
+    try:
+        x = solved(slice(None))
+    except np.linalg.LinAlgError:
+        x = np.empty((R, unknowns), dtype=complex)
+        for r in range(R):
+            try:
+                x[r] = solved(slice(r, r + 1))[0]
+            except np.linalg.LinAlgError:
+                x[r] = np.linalg.lstsq(j[r], c[r, :, 0], rcond=None)[0][-unknowns:]
+    b = np.zeros((R, K, n, w), dtype=complex)
+    b[(slice(None), *b_at)] = x
+    return ev @ b
+
+
+def _line_search(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, levels: list[float],
+                 layout: tuple, keep: np.ndarray, groups: list, shapes: list
+                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """Backtracking along each run's Gauss-Newton direction.
+
+    Candidates are orth(V + t V^perp B), each followed by the receive
+    half-step. All runs try the full step t = 1 in one stack; the runs whose
+    full step fails try the smaller ``_SCALES`` in one more. A candidate
+    passes when its leakage, by the expression behind each trajectory point,
+    is strictly below the run's entry in ``levels``. Returns, per run, the
+    full transmit and receive bases and the images of the largest scale that
+    passed, or None.
+    """
+    vs, step = _spans(ev, keep), _propose(h, eu, ev, layout)
+    found: list = [None] * len(levels)
+    runs = list(range(len(levels)))
+    for scales in (_SCALES[:1], _SCALES[1:]):
+        if not runs:
+            break
+        x = vs[runs] + np.array(scales)[:, None, None, None, None] * step[runs]
+        ev_t = _complete(x.reshape(-1, *x.shape[2:]), shapes)
+        eu_t, hv_t = _least_interference(h[runs * len(scales)], _spans(ev_t, keep), groups)
+        us_t = _spans(eu_t, keep)
+        for i, r in enumerate(runs * len(scales)):      # largest scale first
+            if found[r] is None and _cross_leakage(us_t[i][:, None], hv_t[i])[0] < levels[r]:
+                found[r] = ev_t[i], eu_t[i], hv_t[i]
+        runs = [r for r in runs if found[r] is None]
+    return found
 
 
 def _stop_reason(trajectory: list[float], opts: SolverOptions) -> str | None:
@@ -262,47 +357,47 @@ def _stop_reason(trajectory: list[float], opts: SolverOptions) -> str | None:
 def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOptions,
                    rngs: list[np.random.Generator]
                    ) -> list[tuple[IaSolution, list[float], str]]:
-    """Alternating leakage minimization of runs on channel sets of one shape.
+    """Leakage minimization of runs on channel sets of one shape.
 
     Run r solves ``chs[r]`` from orthonormalized complex-normal precoders
     drawn from ``rngs[r]``; returns its solution, trajectory and stop reason.
     Decoders take one half-step before the first trajectory point, so
     trajectory[0] is already a minimized value. Each further point is one
-    iteration: a Gauss-Newton proposal (``_propose``) that was accepted, or
-    else a sweep. A run below ``_POLISH_BELOW`` tries a proposal first and
-    keeps it only if its leakage is strictly lower; after a rejection it
-    tries again only once its leakage has fallen tenfold below the rejected
-    level. Runs whose Gauss-Newton system would exceed ``_BATCH_BYTES``
-    only sweep. ``_stop_reason`` scales the plateau test by the leakage
+    iteration: a Gauss-Newton step that passed the line search
+    (``_line_search``), or else a sweep. Runs propose every iteration when
+    ``_gn_shape`` admits their shape; after a run rejects every scale, it
+    proposes again only once its leakage has fallen tenfold below the
+    rejected level. ``_stop_reason`` scales the plateau test by the leakage
     level, which keeps slow descents toward tolerance going without letting
-    stalled runs burn the iteration budget. Every half-step updates all
-    users of all live runs at once, and a run leaves the stacks as soon as it
-    stops, so each run's iterates are exactly those it would take alone.
+    stalled runs burn the iteration budget. The iterates are carried as full
+    bases, whose trailing columns are the complements a proposal needs. Every
+    half-step updates all users of all live runs at once, and a run leaves
+    the stacks as soon as it stops, so each run's iterates are exactly those
+    it would take alone.
     """
     N = chs[0].N
     n, w = max(N), max(d)
-    vs = np.zeros((len(chs), len(N), n, w), dtype=complex)
+    ev = np.zeros((len(chs), len(N), n, n), dtype=complex)
     for r, rng in enumerate(rngs):
         for k, (n_k, d_k) in enumerate(zip(N, d)):
-            vs[r, k, :n_k, :d_k] = np.linalg.qr(complex_normal(rng, n_k, d_k))[0]
+            ev[r, k, :n_k, :n_k] = np.linalg.qr(complex_normal(rng, n_k, d_k),
+                                                mode="complete")[0]
     h = _cross_stack(chs)
     h_rec = np.ascontiguousarray(h.conj().transpose(0, 2, 1, 4, 3))
-    keep = np.arange(w) < np.array(d)[:, None]
+    keep = (np.arange(w) < np.array(d)[:, None])[:, None, :]
     sizes, streams = np.array(N), np.array(d)
     groups = [(n_k, np.flatnonzero(sizes == n_k)) for n_k in sorted(set(N))]
     shapes = [(n_k, d_k, np.flatnonzero((sizes == n_k) & (streams == d_k)))
               for n_k, d_k in sorted(set(zip(N, d)))]
-    equations = sum(d) ** 2 - sum(d_k * d_k for d_k in d)
-    unknowns = 2 * sum(d_k * (n_k - d_k) for n_k, d_k in zip(N, d))
-    polish = equations * unknowns * np.dtype(complex).itemsize <= _BATCH_BYTES
-    layout = None
+    layout = _gn_layout(N, d) if _gn_shape(N, d) else None
 
     live = list(range(len(chs)))
     trajectories: list[list[float]] = [[] for _ in chs]
-    retry_below = [_POLISH_BELOW] * len(chs)
+    retry_below = [np.inf] * len(chs)
     done: list = [None] * len(chs)
-    us, hv = _least_interference(h, vs, keep, groups)
+    eu, hv = _least_interference(h, _spans(ev, keep), groups)
     while True:
+        us = _spans(eu, keep)
         going = []
         for i, r in enumerate(live):
             trajectories[r].append(_cross_leakage(us[i][:, None], hv[i])[0])
@@ -310,35 +405,33 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
             if reason is None:
                 going.append(i)
                 continue
-            sol = IaSolution(V=tuple(v[:n_k, :d_k] for v, n_k, d_k in zip(vs[i], N, d)),
+            vs = _spans(ev[i], keep)
+            sol = IaSolution(V=tuple(v[:n_k, :d_k] for v, n_k, d_k in zip(vs, N, d)),
                              U=tuple(u[:n_k, :d_k] for u, n_k, d_k in zip(us[i], N, d)))
             done[r] = (sol, trajectories[r], reason)
         if not going:
             return done
         if len(going) < len(live):
             live = [live[i] for i in going]
-            h, h_rec, vs, us, hv = (x[going] for x in (h, h_rec, vs, us, hv))
+            h, h_rec, ev, eu, hv, us = (x[going] for x in (h, h_rec, ev, eu, hv, us))
         ask = [i for i, r in enumerate(live) if trajectories[r][-1] < retry_below[r]] \
-            if polish else []
+            if layout else []
         if not ask:
-            vs, us, hv = _sweep(h, h_rec, us, keep, groups)
+            ev, eu, hv = _sweep(h, h_rec, us, keep, groups)
             continue
-        layout = layout or _gn_layout(N, d)
-        vs_p = _propose(h[ask], us[ask], vs[ask], layout, shapes)[..., :w] * keep[:, None, :]
-        us_p, hv_p = _least_interference(h[ask], vs_p, keep, groups)
-        took = []
-        for a, i in enumerate(ask):
-            level = trajectories[live[i]][-1]
-            if _cross_leakage(us_p[a][:, None], hv_p[a])[0] < level:
-                took.append(a)
+        found = _line_search(h[ask], eu[ask], ev[ask], [trajectories[live[i]][-1] for i in ask],
+                             layout, keep, groups, shapes)
+        took = {}
+        for i, state in zip(ask, found):
+            if state is None:
+                retry_below[live[i]] = trajectories[live[i]][-1] / 10
             else:
-                retry_below[live[i]] = level / 10
-        accepted = [ask[a] for a in took]
-        rest = [i for i in range(len(live)) if i not in accepted]
+                took[i] = state
+        rest = [i for i in range(len(live)) if i not in took]
         if rest:
-            vs[rest], us[rest], hv[rest] = _sweep(h[rest], h_rec[rest], us[rest], keep, groups)
-        if took:
-            vs[accepted], us[accepted], hv[accepted] = vs_p[took], us_p[took], hv_p[took]
+            ev[rest], eu[rest], hv[rest] = _sweep(h[rest], h_rec[rest], us[rest], keep, groups)
+        for i, state in took.items():
+            ev[i], eu[i], hv[i] = state
 
 
 def _trial_channel_seed(cfg: SystemConfig, opts: SolverOptions, trial: int) -> int:
@@ -350,10 +443,13 @@ def _run_bytes(cfg: SystemConfig) -> int:
     """Bytes one run adds to the stacks of a half-step.
 
     Its channels h and h_rec, the images hx and their regrouped copy g, the
-    covariances q and their eigenvectors.
+    covariances q and their eigenvectors, and, if it proposes, its
+    Gauss-Newton system J and J J^H.
     """
     K, n, w = cfg.K, max(cfg.N), max(cfg.d)
-    return 2 * (K * K * n * n + K * K * n * w + K * n * n) * np.dtype(complex).itemsize
+    gn = _gn_shape(cfg.N, cfg.d)
+    system = gn[0] * sum(gn) if gn else 0
+    return (2 * (K * K * n * n + K * K * n * w + K * n * n) + system) * np.dtype(complex).itemsize
 
 
 def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:
@@ -376,6 +472,7 @@ def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:
             res = check(chs[trial], sol, tol_align=opts.tol_align)
             records.append(RunRecord(trial=trial, restart=restart, iters=len(traj) - 1,
                                      stop_reason=reason, final_leakage=res.leakage,
+                                     max_interference_to_signal=max(res.interference_to_signal),
                                      aligned=res.aligned, rank_ok=res.rank_ok,
                                      success=res.aligned and res.rank_ok,
                                      trajectory=tuple(traj), solution=sol))
@@ -419,6 +516,11 @@ def classify(cfg: SystemConfig, opts: SolverOptions) -> FeasibilityVerdict:
         verdict = Classification.LIKELY_INFEASIBLE
     else:
         verdict = Classification.INCONCLUSIVE
+    evidence = Evidence(
+        runs_at_max_iters=sum(r.stop_reason == "max_iters" for r in records),
+        aligned_above_tol_isr=sum(r.aligned and r.max_interference_to_signal > TOL_ISR
+                                  for r in records))
     return FeasibilityVerdict(success_rate=rate, best_leakage=best,
                               leakage_quantiles=quantiles, classification=verdict,
-                              witness_status=witness, records=tuple(records))
+                              witness_status=witness, evidence=evidence,
+                              records=tuple(records))

@@ -6,7 +6,9 @@ d_k. The continuous residual that ``check`` reports as ``leakage`` is the
 squared Frobenius norm of the cross products evaluated on column-orthonormalized
 copies of U and V. Orthonormalizing first makes the metric a property of the chosen
 subspaces alone, so any change of basis within a precoder or decoder leaves
-it unchanged.
+it unchanged. ``check`` also reports each receiver's interference-to-signal
+ratio, which tells a genuine aligned point from one that reached zero leakage
+by driving a direct link toward zero.
 """
 
 from __future__ import annotations
@@ -17,30 +19,39 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
 from .model import ChannelSet, IaSolution, cross_pairs
-from .subspaces import numerical_rank, orthonormal_columns
+from .subspaces import _rank_from_singular_values, orthonormal_columns
 
 __all__ = [
     "TOL_ALIGN",
+    "TOL_ISR",
     "VerificationResult",
     "check",
 ]
 
 TOL_ALIGN = 1e-8            # absolute threshold on the normalized leakage
+# Interference-to-signal ratio above which an aligned point is degenerate: the
+# geometric middle of the widest gap measured between genuine solver points
+# (<= 2.8e-5, for runs that stop just under TOL_ALIGN) and degenerate ones
+# (>= 3.0e-2) on feasible and infeasible configs.
+TOL_ISR = 1e-3
 
 
 @dataclass(frozen=True)
 class VerificationResult:
     """Outcome of checking one (channels, solution) pair.
 
-    ``min_cross_residual`` is the largest entry magnitude among the
+    ``max_cross_residual`` is the largest entry magnitude among the
     normalized cross products, the residual that must vanish entirely for
-    exact alignment. ``aligned`` and ``rank_ok`` are reported separately so
-    experiments can tell an aligned-but-degenerate direct link from true
-    misalignment.
+    exact alignment. ``interference_to_signal`` is, per receiver k,
+    sum_{j != k} ||U_k^H H[k][j] V_j||^2 / sigma_min(U_k^H H[k][k] V_k)^2,
+    infinite when the direct product is singular. ``aligned`` and ``rank_ok``
+    are reported separately so experiments can tell an aligned-but-degenerate
+    direct link from true misalignment.
     """
 
     leakage: float
-    min_cross_residual: float
+    max_cross_residual: float
+    interference_to_signal: tuple[float, ...]
     direct_ranks: tuple[int, ...]
     aligned: bool
     rank_ok: bool
@@ -91,7 +102,8 @@ def _cross_leakage(us: np.ndarray, hv: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> VerificationResult:
-    """Full verdict: leakage, worst cross entry, and per-user direct ranks.
+    """Full verdict: leakage, worst cross entry, per-user interference-to-signal
+    ratios and direct ranks.
 
     The leakage is the total interference power outside the aligned
     subspaces, zero exactly when every cross product vanishes. Raises
@@ -103,13 +115,20 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
     leak = worst = 0.0
+    interference = [0.0] * ch.K
     for j, k in cross_pairs(ch.K):
         pair_leak, crosses = _cross_leakage(us[j], ch.apply(j, k, vs[k]))
         leak += pair_leak
+        interference[j] += pair_leak
         worst = max(worst, float(np.abs(crosses).max()))
-    ranks = tuple(numerical_rank(us[k].conj().T @ ch.apply(k, k, vs[k]))
-                  for k in range(ch.K))
+    ranks, ratios = [], []
+    for k in range(ch.K):
+        direct = us[k].conj().T @ ch.apply(k, k, vs[k])
+        s = np.linalg.svd(direct, compute_uv=False)
+        ranks.append(_rank_from_singular_values(direct.shape, s))
+        signal = float(s[-1]) ** 2
+        ratios.append(interference[k] / signal if signal > 0 else float("inf"))
     rank_ok = all(r == d for r, d in zip(ranks, sol.d))
-    return VerificationResult(leakage=leak, min_cross_residual=worst,
-                              direct_ranks=ranks, aligned=leak <= tol_align,
-                              rank_ok=rank_ok, tol_align=tol_align)
+    return VerificationResult(leakage=leak, max_cross_residual=worst,
+                              interference_to_signal=tuple(ratios), direct_ranks=tuple(ranks),
+                              aligned=leak <= tol_align, rank_ok=rank_ok, tol_align=tol_align)

@@ -472,11 +472,12 @@ def test_seeds_beyond_64_bits_are_accepted(tmp_path):
     ("bounds", "K,param,exact,value,source"),
     ("cj-params", "K,n,N_exp,N_s,d_first,d_other,d_total,d_bar,d_bar_value"),
     ("contradiction", "K,min_improper_n,N_s,d_first,d_other,N_e,N_v,improper_by_threshold"),
-    ("cj3", "n,N_s,seed,leakage,min_cross_residual,direct_ranks,aligned,rank_ok,"
+    ("cj3", "n,N_s,seed,leakage,max_cross_residual,direct_ranks,aligned,rank_ok,"
             "d_bar,d_bar_value,exceeds_tdma"),
     ("probe", "draw,nullity"),
-    ("solve", "config,trial,restart,iters,stop_reason,final_leakage,rank_ok"),
-    ("verify", "leakage,min_cross_residual,direct_ranks,aligned,rank_ok"),
+    ("solve", "config,trial,restart,iters,stop_reason,final_leakage,"
+              "max_interference_to_signal,rank_ok"),
+    ("verify", "leakage,max_cross_residual,direct_ranks,aligned,rank_ok"),
 ])
 def test_csv_headers_are_pinned(tmp_path, command, header):
     paths = write_witness_with_stray_entry(tmp_path)

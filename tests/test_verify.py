@@ -20,7 +20,7 @@ from align_lab.model import (
     substream,
 )
 from align_lab.solve import SolverOptions
-from align_lab.verify import check
+from align_lab.verify import TOL_ISR, check
 
 
 def identity_case(k=2, n=2, d=1):
@@ -67,6 +67,32 @@ def test_constructed_witness_verifies():
     res = check(inst.channels, inst.solution)
     assert res.aligned and res.rank_ok
     assert res.direct_ranks == (3, 2, 2)
+    assert max(res.interference_to_signal) < TOL_ISR
+
+
+def test_interference_to_signal_follows_its_definition():
+    cfg = generic_config(3, (3, 4, 5), (1, 2, 2), seed=3)
+    ch = sample_channels(cfg)
+    sol = random_solution(cfg, seed=3)
+    us, vs = ([np.linalg.qr(x)[0] for x in xs] for xs in (sol.U, sol.V))
+    res = check(ch, sol)
+    for k in range(cfg.K):
+        interference = sum(np.linalg.norm(us[k].conj().T @ ch.matrices[k][j] @ vs[j]) ** 2
+                           for j in range(cfg.K) if j != k)
+        signal = np.linalg.svd(us[k].conj().T @ ch.matrices[k][k] @ vs[k],
+                               compute_uv=False).min()
+        assert res.interference_to_signal[k] == pytest.approx(interference / signal ** 2,
+                                                              rel=1e-10)
+    assert check(*identity_case()).interference_to_signal == (0.0, 0.0)
+
+
+def test_lost_direct_link_has_infinite_interference_to_signal():
+    ch, sol = identity_case()
+    dense = [list(row) for row in ch.matrices]
+    dense[0][0] = np.zeros_like(dense[0][0])
+    res = check(ChannelSet.from_dense(generic_config(2, 2, 1), dense), sol)
+    assert res.aligned and not res.rank_ok
+    assert res.interference_to_signal == (float("inf"), 0.0)
 
 
 def test_random_pair_leaks():
@@ -77,7 +103,7 @@ def test_random_pair_leaks():
     # pilot over 1000 seeds put the minimum misalignment at 1.6; the
     # acceptance threshold 1e-3 leaves three orders of margin
     assert res.leakage > 1e-3
-    assert res.min_cross_residual > 0
+    assert res.max_cross_residual > 0
 
 
 def test_leakage_is_gauge_invariant():
