@@ -185,10 +185,14 @@ def cmd_solve(args: argparse.Namespace):
                          restarts=args.restarts, trials=args.trials, seed=args.seed)
     verdict = classify(cfg, opts)
     digest = _config_digest(cfg)
+    # a singular direct product gives an infinite ratio, which JSON cannot hold
     runs = [{"config": digest, "trial": r.trial, "restart": r.restart,
              "iters": r.iters, "stop_reason": r.stop_reason,
              "final_leakage": r.final_leakage,
-             "max_interference_to_signal": r.max_interference_to_signal, "rank_ok": r.rank_ok}
+             "max_interference_to_signal": (r.max_interference_to_signal
+                                            if np.isfinite(r.max_interference_to_signal)
+                                            else None),
+             "rank_ok": r.rank_ok}
             for r in verdict.records]
     median, p90 = verdict.leakage_quantiles
     payload = {

@@ -16,21 +16,21 @@ Alternating minimization converges only linearly, so every iteration of a run
 first tries a Gauss-Newton step: the min-norm solution of the linearized cross
 equations, built on the complements that the iterates' full bases already hold
 (the ``eigh`` of each half-step and the complete QR of each accepted step give
-them), found for all asking runs by one stacked solve of the normal equations,
-or of J itself where J is square. A backtracking line search tries the full
-step, then 1/2, 1/4, 1/8 and 1/16 of it, each followed by a receive half-step,
-and keeps the largest scale whose leakage falls strictly; if none does, the
-run sweeps from the same state. So each iteration, and each trajectory point,
-is one accepted step or one sweep, and the trajectory never increases. After a
-run rejects every scale it tries again only once its leakage has fallen
-tenfold below the rejected level. Runs propose only when their cross equations
-do not outnumber the unknowns, the count under which the step can zero every
-cross product, and their system fits ``_BATCH_BYTES``; other runs only sweep.
-A run that stops drops out of the stacks; the others iterate on exactly as
-they would alone. The classifier solves all its channel draws and restarts
-together, then buckets the outcome; absence of success is weak evidence
-(local minima exist), so the thresholds are deliberately asymmetric and a
-known explicit witness overrides solver failure.
+them), found for all asking runs by one stacked solve of the normal equations.
+A backtracking line search tries the full step, then 1/2, 1/4, 1/8 and 1/16 of
+it, each followed by a receive half-step, and keeps the largest scale whose
+leakage falls strictly; if none does, the run sweeps from the same state. So
+each iteration, and each trajectory point, is one accepted step or one sweep,
+and the trajectory never increases. After a run rejects every scale it tries
+again only once its leakage has fallen tenfold below the rejected level. Runs
+propose only when their cross equations do not outnumber the unknowns, the
+count under which the step can zero every cross product, and their system fits
+``_BATCH_BYTES``; other runs only sweep. A run that stops drops out of the
+stacks; the others iterate on exactly as they would alone. The classifier
+solves all its channel draws and restarts together, then buckets the outcome;
+absence of success is weak evidence (local minima exist), so the thresholds
+are deliberately asymmetric and a known explicit witness overrides solver
+failure.
 """
 
 from __future__ import annotations
@@ -268,11 +268,10 @@ def _propose(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, layout: tuple) -> np
     ``eu`` and ``ev`` are the runs' full receive and transmit bases
     [U U^perp] and [V V^perp]. Each run takes the min-norm solution (P, B) of
     the system J x = -c that ``_gn_layout`` lays out, the first-order
-    condition that every cross product vanish: x = J^H (J J^H)^-1 (-c), or
-    J^-1 (-c) when J is square, one stacked solve for all runs. If some
-    system is exactly singular, the runs are solved one by one and only the
-    singular ones by ``lstsq``, so each run's direction is the one it gets
-    alone.
+    condition that every cross product vanish: x = J^H (J J^H)^-1 (-c), one
+    stacked solve of the normal equations for all runs. If some system is
+    exactly singular, the runs are solved one by one and only the singular
+    ones by ``lstsq``, so each run's direction is the one it gets alone.
     """
     cross, jac, b_at, w = layout
     R, K, n, _ = ev.shape
@@ -281,16 +280,11 @@ def _propose(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, layout: tuple) -> np
     # take keeps the runs outermost; t[:, jac] puts them innermost, and matmul
     # then rounds by batch size
     j, c = np.take(t, jac, axis=1), -t[:, cross, None]
-    unknowns, jh_b = len(b_at[0]), None
-    if j.shape[1] == j.shape[2]:    # its own min-norm solve, at J's condition number
-        system = j
-    else:
-        jh = j.conj().swapaxes(-1, -2)
-        system, jh_b = j @ jh, jh[:, -unknowns:]
+    unknowns, jh = len(b_at[0]), j.conj().swapaxes(-1, -2)
+    system, jh_b = j @ jh, jh[:, -unknowns:]
 
     def solved(runs: slice) -> np.ndarray:
-        y = np.linalg.solve(system[runs], c[runs])
-        return (y[:, -unknowns:] if jh_b is None else jh_b[runs] @ y)[..., 0]
+        return (jh_b[runs] @ np.linalg.solve(system[runs], c[runs]))[..., 0]
 
     try:
         x = solved(slice(None))
@@ -442,14 +436,17 @@ def _trial_channel_seed(cfg: SystemConfig, opts: SolverOptions, trial: int) -> i
 def _run_bytes(cfg: SystemConfig) -> int:
     """Bytes one run adds to the stacks of a half-step.
 
-    Its channels h and h_rec, the images hx and their regrouped copy g, the
-    covariances q and their eigenvectors, and, if it proposes, its
-    Gauss-Newton system J and J J^H.
+    Its channels h and h_rec, the images hx and their regrouped copy g, and
+    the covariances q and their eigenvectors; if it proposes, also its
+    Gauss-Newton system J and J J^H, and one more copy of those half-step
+    stacks for each backtracking scale, which ``_line_search`` stacks together.
     """
     K, n, w = cfg.K, max(cfg.N), max(cfg.d)
+    entries = 2 * (K * K * n * n + K * K * n * w + K * n * n)
     gn = _gn_shape(cfg.N, cfg.d)
-    system = gn[0] * sum(gn) if gn else 0
-    return (2 * (K * K * n * n + K * K * n * w + K * n * n) + system) * np.dtype(complex).itemsize
+    if gn:
+        entries = entries * len(_SCALES) + gn[0] * sum(gn)
+    return entries * np.dtype(complex).itemsize
 
 
 def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:

@@ -29,10 +29,10 @@ __all__ = [
 ]
 
 TOL_ALIGN = 1e-8            # absolute threshold on the normalized leakage
-# Interference-to-signal ratio above which an aligned point is degenerate: the
-# geometric middle of the widest gap measured between genuine solver points
-# (<= 2.8e-5, for runs that stop just under TOL_ALIGN) and degenerate ones
-# (>= 3.0e-2) on feasible and infeasible configs.
+# Interference-to-signal ratio above which an aligned point is degenerate:
+# about the geometric middle of the widest gap measured between genuine solver
+# points (<= 2.8e-5, for runs that stop just under TOL_ALIGN) and degenerate
+# ones (>= 2.4e-2) on feasible and infeasible configs.
 TOL_ISR = 1e-3
 
 

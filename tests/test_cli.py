@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,7 +32,7 @@ from align_lab.model import (
     substream,
 )
 from align_lab.probe import draw_random_solution
-from align_lab.solve import SolverOptions, _minimize_runs
+from align_lab.solve import SolverOptions, _minimize_runs, classify
 
 
 def schema(name):
@@ -158,6 +159,24 @@ def test_solve_json_and_csv(tmp_path):
     assert {"config", "trial", "restart", "iters", "stop_reason",
             "final_leakage", "rank_ok"} <= set(rows[0])
     assert all(float(r["final_leakage"]) < 1e-8 for r in rows)
+
+
+def test_solve_writes_a_lost_signal_as_null(tmp_path, monkeypatch):
+    # a run whose direct product is singular has an infinite I/S ratio
+    def lost(cfg, opts):
+        verdict = classify(cfg, opts)
+        records = (dataclasses.replace(verdict.records[0], max_interference_to_signal=np.inf),
+                   *verdict.records[1:])
+        return dataclasses.replace(verdict, records=records)
+
+    monkeypatch.setattr(align_lab.cli, "classify", lost)
+    cfg_path = write_config(tmp_path, generic_config(3, 2, 1, seed=1))
+    assert main(["solve", "--config", cfg_path, "--trials", "2",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    doc = json.loads((tmp_path / "out.json").read_text(), parse_constant=pytest.fail)
+    jsonschema.validate(doc, schema("solve"))
+    assert doc["runs"][0]["max_interference_to_signal"] is None
+    assert doc["runs"][1]["max_interference_to_signal"] >= 0
 
 
 def test_verify_accepts_stored_witness(tmp_path):

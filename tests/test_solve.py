@@ -148,26 +148,26 @@ def _loop_solver(ch, d):
     return receive, leak, direction, iterate
 
 
-@pytest.mark.parametrize("cfg", [
-    generic_config(3, 2, 1, seed=1),
-    diagonal_config(3, 7, (4, 3, 3), seed=1),
-    block_diagonal_config(3, 2, 2, 2, seed=1),
-    generic_config(3, (2, 3, 4), (1, 1, 2), seed=1),
-    generic_config(3, (2, 3, 4), (1, 3, 2), seed=1),   # N_0 < d_max
-    generic_config(5, 2, 1, seed=1),
-    generic_config(4, 5, 2, seed=1),
+@pytest.mark.parametrize("cfg, from_batched", [
+    (generic_config(3, 2, 1, seed=1), False),
+    (diagonal_config(3, 7, (4, 3, 3), seed=1), False),
+    (block_diagonal_config(3, 2, 2, 2, seed=1), False),
+    (generic_config(3, (2, 3, 4), (1, 1, 2), seed=1), False),
+    (generic_config(3, (2, 3, 4), (1, 3, 2), seed=1), False),   # N_0 < d_max
+    (generic_config(5, 2, 1, seed=1), False),
+    (generic_config(4, 5, 2, seed=1), True),
 ], ids=["generic-3-2-1", "diagonal-7-433", "block-diagonal-2-2-2", "generic-234-112",
         "generic-234-132", "generic-5-2-1", "generic-4-5-2"])
-def test_batched_solver_matches_the_loop_solver(cfg):
-    """Each iteration of the reference, taken from the batched solver's
-    iterate, gives the batched solver's next trajectory point.
+def test_batched_solver_matches_the_loop_solver(cfg, from_batched):
+    """The reference's trajectory is the batched solver's.
 
-    The reference restarts from the batched iterate every iteration because
-    far from a solution Gauss-Newton iterations amplify a rounding
-    difference: a 1e-15 relative change to the initial draw moves the
-    batched solver's own generic-4-5-2 trajectory by 2e-8 relative at
-    iteration 14 and 2e-7 at 16, so two whole trajectories cannot agree to
-    the 1e-9 this test asks of each step.
+    Where ``from_batched`` is set, the reference restarts every iteration
+    from the batched solver's iterate, so it checks each step rather than
+    the whole trajectory. Far from a solution, generic-4-5-2's Gauss-Newton
+    iterations amplify a rounding difference. Run whole, the reference's
+    trajectory from seed 0 parts from the batched one by 3.7e-9 relative at
+    iteration 10, 1.1e-7 at 13 and 1.0e-6 at 16, beyond the 1e-9 asked here,
+    though both end below 1e-29 after 17 iterations.
     """
     ch = sample_channels(cfg)
     opts = SolverOptions(max_iters=300)
@@ -183,7 +183,7 @@ def test_batched_solver_matches_the_loop_solver(cfg):
         ref, retry_below = [leak(us, vs)], np.inf
         while ref[-1] != 0.0:
             level = ref[-1]
-            if len(ref) > 1:     # from the batched iterate after len(ref) - 1 iterations
+            if from_batched and len(ref) > 1:   # the batched iterate after len(ref) - 1 iterations
                 at = _minimize_runs([ch], cfg.d, replace(opts, max_iters=len(ref) - 1),
                                     [substream(seed, 1)])[0][0]
                 vs = [np.linalg.qr(v, mode="complete")[0] for v in at.V]
