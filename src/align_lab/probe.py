@@ -18,15 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import dim_channel_space
-from .model import (IaSolution, SystemConfig, _count, _seed, complex_normal,
-                    cross_pairs, pair_support, substream)
+from .model import (SystemConfig, _count, _seed, complex_normal, cross_pairs, pair_support,
+                    substream)
 from .subspaces import (_BATCH_BYTES, _rank_from_singular_values, numerical_rank,
                         orthonormal_columns)
 
 __all__ = [
     "ProbeReport",
     "pair_block",
-    "draw_random_solution",
     "run_probe",
 ]
 
@@ -74,11 +73,6 @@ def _draw(cfg: SystemConfig, rng: np.random.Generator
     vs = [complex_normal(rng, cfg.N[k], cfg.d[k]) for k in range(cfg.K)]
     us = [complex_normal(rng, cfg.N[k], cfg.d[k]) for k in range(cfg.K)]
     return vs, us
-
-
-def draw_random_solution(cfg: SystemConfig, rng: np.random.Generator) -> IaSolution:
-    """Independent complex-normal (U, V); all precoders first, then decoders."""
-    return IaSolution(*_draw(cfg, rng))
 
 
 class _Span:

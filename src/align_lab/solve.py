@@ -7,10 +7,11 @@ get the symmetric update in the reciprocal network (all channels conjugate
 transposed). Both half-steps minimize the same total leakage, so a sweep
 never increases it. Each half-step updates all users of all runs at
 once: one stacked product with the zero-padded channel stack of every run,
-one matmul for all interference covariances, and one batched ``eigh`` per
-distinct N_k. The iterates are orthonormal bases whose column phases are
-whatever ``eigh`` returns; the covariance sum_j H V_j V_j^H H^H, hence both
-half-steps and the leakage, depends only on the spanned subspaces.
+one matmul for all interference covariances, and one batched ``eigh``, with
+each user's padded diagonal lifted above its spectrum. The iterates are
+orthonormal bases whose column phases are whatever ``eigh`` returns; the
+covariance sum_j H V_j V_j^H H^H, hence both half-steps and the leakage,
+depends only on the spanned subspaces.
 
 Alternating minimization converges only linearly, so every iteration of a run
 first tries a Gauss-Newton step: the min-norm solution of the linearized cross
@@ -160,28 +161,38 @@ def _cross_stack(chs: list[ChannelSet]) -> np.ndarray:
 
 
 def _least_interference(h: np.ndarray, x: np.ndarray,
-                        groups: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+                        lift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One half-step of many runs: every receiver's least-interference subspace.
 
     ``h`` is an (R, K, K, N_max, N_max) stack of R runs' channels with zero
     direct pairs and ``x`` the (R, K, N_max, d_max) stack of transmit bases.
     The interference covariance at receiver k of run r is G G^H, where G lines
-    up the images h[r, k, j] @ x[r, j] over all j. One batched ``eigh`` per
-    distinct N_k in ``groups`` gives its eigenvectors in ascending order, with
-    the column phases ``eigh`` gives: the first d_k span the new subspace and
-    the next N_k - d_k its complement. Returns these full (R, K, N_max, N_max)
+    up the images h[r, k, j] @ x[r, j] over all j. With ``lift`` (``_lift``)
+    added to the diagonals, one batched ``eigh`` gives each user's own
+    eigenvectors first, in ascending order, with the column phases ``eigh``
+    gives: the first d_k span the new subspace and the next N_k - d_k its
+    complement. The padded columns are padded unit vectors, which is
+    harmless: ``h`` is zero on padded rows and columns, and ``_gn_layout``
+    reads only the real complements. Returns these full (R, K, N_max, N_max)
     receive bases and the (R, K, K, N_max, d_max) stack of images.
     """
     R, K, n, w = x.shape
     hx = h @ x[:, None]
     g = hx.transpose(0, 1, 3, 2, 4).reshape(R, K, n, K * w)
     q = g @ g.conj().swapaxes(-1, -2)
-    if len(groups) == 1:    # skips a zeroed copy and a scatter: about 30% of a call at N=2
-        return np.linalg.eigh(q)[1], hx
-    full = np.zeros_like(q)
-    for n_k, users in groups:
-        full[:, users, :n_k, :n_k] = np.linalg.eigh(q[:, users, :n_k, :n_k])[1]
-    return full, hx
+    diagonal = np.arange(n)
+    q[..., diagonal, diagonal] += lift
+    return np.linalg.eigh(q)[1], hx
+
+
+def _lift(h: np.ndarray, N: tuple[int, ...]) -> np.ndarray:
+    """(K, N_max) diagonal lift for the runs of ``h``, or any subset of them:
+    zero on each user's N_k real entries, 1 + 2 ||h||_F^2 on its padded ones.
+    It exceeds every covariance eigenvalue, since lambda_max(G G^H) <=
+    sum_j ||H_kj||_2^2 <= ||h||_F^2 for orthonormal bases; the factor 2 keeps
+    rounding in G G^H from reaching it at any channel scale."""
+    return np.where(np.arange(h.shape[-1]) < np.array(N)[:, None], 0.0,
+                    1 + 2 * np.vdot(h, h).real)
 
 
 def _spans(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -191,24 +202,12 @@ def _spans(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _sweep(h: np.ndarray, h_rec: np.ndarray, us: np.ndarray, keep: np.ndarray,
-           groups: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, ...]:
+           lift: np.ndarray) -> tuple[np.ndarray, ...]:
     """One sweep of many runs from the receive bases ``us``: the transmit
     half-step, in the reciprocal network ``h_rec``, then the receive
     half-step. Returns the full transmit and receive bases and the images."""
-    ev, _ = _least_interference(h_rec, us, groups)
-    return (ev, *_least_interference(h, _spans(ev, keep), groups))
-
-
-def _complete(v: np.ndarray, shapes: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    """Full (R, K, N_max, N_max) bases from one complete QR of each user's
-    (N_k, d_k) block of ``v``: the first d_k columns are an orthonormal basis
-    of its span, the next N_k - d_k one of their complement. ``shapes`` groups
-    the users by (N_k, d_k)."""
-    R, K, n, _ = v.shape
-    full = np.zeros((R, K, n, n), dtype=complex)
-    for n_k, d_k, users in shapes:
-        full[:, users, :n_k, :n_k] = np.linalg.qr(v[:, users, :n_k, :d_k], mode="complete")[0]
-    return full
+    ev, _ = _least_interference(h_rec, us, lift)
+    return (ev, *_least_interference(h, _spans(ev, keep), lift))
 
 
 def _gn_shape(N: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, int] | None:
@@ -301,11 +300,12 @@ def _propose(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, layout: tuple) -> np
 
 
 def _line_search(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, levels: list[float],
-                 layout: tuple, keep: np.ndarray, groups: list, shapes: list
+                 layout: tuple, keep: np.ndarray, lift: np.ndarray
                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Backtracking along each run's Gauss-Newton direction.
 
-    Candidates are orth(V + t V^perp B), each followed by the receive
+    Candidates are orth(V + t V^perp B), the leading columns of one complete
+    QR of the zero-padded candidate stack, each followed by the receive
     half-step. All runs try the full step t = 1 in one stack; the runs whose
     full step fails try the smaller ``_SCALES`` in one more. A candidate
     passes when its leakage, by the expression behind each trajectory point,
@@ -320,8 +320,8 @@ def _line_search(h: np.ndarray, eu: np.ndarray, ev: np.ndarray, levels: list[flo
         if not runs:
             break
         x = vs[runs] + np.array(scales)[:, None, None, None, None] * step[runs]
-        ev_t = _complete(x.reshape(-1, *x.shape[2:]), shapes)
-        eu_t, hv_t = _least_interference(h[runs * len(scales)], _spans(ev_t, keep), groups)
+        ev_t = np.linalg.qr(x.reshape(-1, *x.shape[2:]), mode="complete")[0]
+        eu_t, hv_t = _least_interference(h[runs * len(scales)], _spans(ev_t, keep), lift)
         us_t = _spans(eu_t, keep)
         for i, r in enumerate(runs * len(scales)):      # largest scale first
             if found[r] is None and _cross_leakage(us_t[i][:, None], hv_t[i])[0] < levels[r]:
@@ -371,25 +371,22 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
     """
     N = chs[0].N
     n, w = max(N), max(d)
-    ev = np.zeros((len(chs), len(N), n, n), dtype=complex)
+    draws = np.zeros((len(chs), len(N), n, w), dtype=complex)
     for r, rng in enumerate(rngs):
         for k, (n_k, d_k) in enumerate(zip(N, d)):
-            ev[r, k, :n_k, :n_k] = np.linalg.qr(complex_normal(rng, n_k, d_k),
-                                                mode="complete")[0]
+            draws[r, k, :n_k, :d_k] = complex_normal(rng, n_k, d_k)
+    ev = np.linalg.qr(draws, mode="complete")[0]
     h = _cross_stack(chs)
     h_rec = np.ascontiguousarray(h.conj().transpose(0, 2, 1, 4, 3))
     keep = (np.arange(w) < np.array(d)[:, None])[:, None, :]
-    sizes, streams = np.array(N), np.array(d)
-    groups = [(n_k, np.flatnonzero(sizes == n_k)) for n_k in sorted(set(N))]
-    shapes = [(n_k, d_k, np.flatnonzero((sizes == n_k) & (streams == d_k)))
-              for n_k, d_k in sorted(set(zip(N, d)))]
+    lift = _lift(h, N)
     layout = _gn_layout(N, d) if _gn_shape(N, d) else None
 
     live = list(range(len(chs)))
     trajectories: list[list[float]] = [[] for _ in chs]
     retry_below = [np.inf] * len(chs)
     done: list = [None] * len(chs)
-    eu, hv = _least_interference(h, _spans(ev, keep), groups)
+    eu, hv = _least_interference(h, _spans(ev, keep), lift)
     while True:
         us = _spans(eu, keep)
         going = []
@@ -411,10 +408,10 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
         ask = [i for i, r in enumerate(live) if trajectories[r][-1] < retry_below[r]] \
             if layout else []
         if not ask:
-            ev, eu, hv = _sweep(h, h_rec, us, keep, groups)
+            ev, eu, hv = _sweep(h, h_rec, us, keep, lift)
             continue
         found = _line_search(h[ask], eu[ask], ev[ask], [trajectories[live[i]][-1] for i in ask],
-                             layout, keep, groups, shapes)
+                             layout, keep, lift)
         took = {}
         for i, state in zip(ask, found):
             if state is None:
@@ -423,7 +420,7 @@ def _minimize_runs(chs: list[ChannelSet], d: tuple[int, ...], opts: SolverOption
                 took[i] = state
         rest = [i for i in range(len(live)) if i not in took]
         if rest:
-            ev[rest], eu[rest], hv[rest] = _sweep(h[rest], h_rec[rest], us[rest], keep, groups)
+            ev[rest], eu[rest], hv[rest] = _sweep(h[rest], h_rec[rest], us[rest], keep, lift)
         for i, state in took.items():
             ev[i], eu[i], hv[i] = state
 
@@ -437,9 +434,10 @@ def _run_bytes(cfg: SystemConfig) -> int:
     """Bytes one run adds to the stacks of a half-step.
 
     Its channels h and h_rec, the images hx and their regrouped copy g, and
-    the covariances q and their eigenvectors; if it proposes, also its
-    Gauss-Newton system J and J J^H, and one more copy of those half-step
-    stacks for each backtracking scale, which ``_line_search`` stacks together.
+    the covariances q, lifted in place, with the eigenvectors of their one
+    ``eigh``; if it proposes, also its Gauss-Newton system J and J J^H, and
+    one more copy of those half-step stacks for each backtracking scale (one
+    complete QR per stack), which ``_line_search`` stacks together.
     """
     K, n, w = cfg.K, max(cfg.N), max(cfg.d)
     entries = 2 * (K * K * n * n + K * K * n * w + K * n * n)

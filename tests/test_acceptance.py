@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from align_lab import probe
 from align_lab.cj3 import build_instance
 from align_lab.cli import main
 from align_lab.counting import (
@@ -32,7 +33,7 @@ from align_lab.model import (
     substream,
     IaSolution,
 )
-from align_lab.probe import draw_random_solution, pair_block, run_probe
+from align_lab.probe import pair_block, run_probe
 from align_lab.subspaces import nullspace_basis
 from align_lab.solve import Classification, SolverOptions, classify
 from align_lab.verify import check
@@ -108,7 +109,7 @@ def test_criterion_5_probe_solutions_realign_and_generic_space_fills():
         else:
             n_s = int(picker.integers(2, 6))
             cfg = diagonal_config(3, n_s, 1, seed=seed)
-        sol = draw_random_solution(cfg, substream(seed, 404, case))
+        sol = IaSolution(*probe._draw(cfg, substream(seed, 404, case)))
         # P is block-diagonal by pair: a pair's nullspace vector, with every
         # other link zero, is a channel set that (U, V) aligns
         for j, k in [(j, k) for j in range(cfg.K) for k in range(cfg.K) if j != k]:

@@ -20,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import align_lab
+from align_lab import probe
 from align_lab.cli import _emit, _json_text, build_parser, main
 from align_lab.model import (
     IaSolution,
@@ -31,7 +32,6 @@ from align_lab.model import (
     sample_channels,
     substream,
 )
-from align_lab.probe import draw_random_solution
 from align_lab.solve import SolverOptions, _minimize_runs, classify
 
 
@@ -467,7 +467,7 @@ def test_negative_seed_is_named(tmp_path, capsys, command):
     cfg = generic_config(3, 2, 1)
     cfg_path = write_config(tmp_path, cfg)
     sol_path = tmp_path / "sol.json"
-    sol_path.write_text(solution_text(draw_random_solution(cfg, substream(0, 1))))
+    sol_path.write_text(solution_text(IaSolution(*probe._draw(cfg, substream(0, 1)))))
     args = {"solve": ["--config", cfg_path, "--trials", "1", "--max-iters", "2"],
             "probe": ["--config", cfg_path, "--draws", "1"],
             "cj3": ["--n", "1"],

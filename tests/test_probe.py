@@ -25,7 +25,6 @@ from align_lab.model import (
 )
 from align_lab.probe import (
     ProbeReport,
-    draw_random_solution,
     pair_block,
     run_probe,
 )
@@ -58,7 +57,7 @@ def lone_pair_channels(cfg, j, k, h):
 
 def test_p_matrix_shape_diagonal_example():
     cfg = diagonal_config(3, 2, 1)
-    sol = draw_random_solution(cfg, substream(0, 1))
+    sol = IaSolution(*probe._draw(cfg, substream(0, 1)))
     assert [b.shape for b in p_blocks(cfg, sol)] == [(1, 2)] * 6
 
 
@@ -77,7 +76,7 @@ def test_all_ones_diagonal_case_forces_rank_six():
 def test_p_times_h_reproduces_cross_terms(cfg):
     """Each block depends on (U,V) only; block @ h_jk is that pair's cross term."""
     ch = sample_channels(cfg)
-    sol = draw_random_solution(cfg, substream(9, 2))
+    sol = IaSolution(*probe._draw(cfg, substream(9, 2)))
     for j, k in cross_pairs(cfg):
         rows, cols = pair_support(cfg, j, k)
         lhs = pair_block(sol.U[j], sol.V[k], rows, cols) @ ch.matrices[j][k][rows, cols]
@@ -91,7 +90,7 @@ def test_p_times_h_reproduces_cross_terms(cfg):
 @pytest.mark.parametrize("cfg", ALL_STRUCTURES)
 def test_nullspace_vectors_assemble_into_aligned_channels(cfg):
     rng = substream(3, 5)
-    sol = draw_random_solution(cfg, rng)
+    sol = IaSolution(*probe._draw(cfg, rng))
     checked = 0
     for (j, k), block in zip(cross_pairs(cfg), p_blocks(cfg, sol)):
         for h in nullspace_basis(block).T:
@@ -142,8 +141,8 @@ def test_probe_is_deterministic():
     b = run_probe(cfg, draws=3, seed=21)
     assert a == b
     # the probe seed steers the sampled solutions, not the channel model
-    s1 = draw_random_solution(cfg, substream(21, 0))
-    s2 = draw_random_solution(cfg, substream(22, 0))
+    s1 = IaSolution(*probe._draw(cfg, substream(21, 0)))
+    s2 = IaSolution(*probe._draw(cfg, substream(22, 0)))
     assert not np.allclose(s1.V[0], s2.V[0])
 
 
@@ -213,7 +212,7 @@ def _loop_reports(cfg, counts, seed):
     nullities, reports = [], []
     dim_target = dim_channel_space(cfg)
     for i in range(max(counts)):
-        sol = draw_random_solution(cfg, substream(seed, probe._DRAW_SALT, i))
+        sol = IaSolution(*probe._draw(cfg, substream(seed, probe._DRAW_SALT, i)))
         nullity = 0
         for s, (j, k, rows, cols) in enumerate(supports):
             basis = nullspace_basis(_loop_block(sol.U[j], sol.V[k], rows, cols))
@@ -311,7 +310,7 @@ def test_a_full_span_ends_its_pair_span_work(monkeypatch):
 
 def test_pair_block_takes_stacks():
     cfg = block_diagonal_config(3, (1, 2, 3), 2, (1, 2, 2))
-    sols = [draw_random_solution(cfg, substream(7, i)) for i in range(5)]
+    sols = [IaSolution(*probe._draw(cfg, substream(7, i))) for i in range(5)]
     for j, k in cross_pairs(cfg):
         rows, cols = pair_support(cfg, j, k)
         one = [pair_block(sol.U[j], sol.V[k], rows, cols) for sol in sols]

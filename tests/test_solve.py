@@ -14,6 +14,7 @@ from align_lab.errors import DegenerateSpan, InvalidSpec
 from align_lab.model import (
     ChannelSet,
     IaSolution,
+    _blocks,
     block_diagonal_config,
     complex_normal,
     config_to_json,
@@ -257,6 +258,97 @@ def test_singular_run_leaves_its_neighbours_steps_alone(monkeypatch):
     want = _loop_solver(chs[1], cfg.d)[2](*([x[1, k] for k in range(cfg.K)] for x in (eu, ev)))
     np.testing.assert_allclose(got[1], np.array(want), rtol=0,
                                atol=1e-10 * np.linalg.norm(np.array(want)))
+
+
+def _scaled_channels(cfg, rng, scale):
+    """A channel draw times ``scale``, and random orthonormal transmit bases."""
+    ch = sample_channels(cfg)
+    x = np.zeros((cfg.K, max(cfg.N), max(cfg.d)), dtype=complex)
+    for k, (n_k, d_k) in enumerate(zip(cfg.N, cfg.d)):
+        x[k, :n_k, :d_k] = np.linalg.qr(complex_normal(rng, n_k, d_k))[0]
+    return ChannelSet.from_dense(cfg, [[scale * m for m in row] for row in ch.matrices]), x
+
+
+def _rank_one(cfg, rng, scale):
+    """Channels whose cross pairs into receiver 0 are scale * a b_k^H, inside
+    the structure's first block, with every other cross pair zero, and
+    transmit bases whose first column is b_k / |b_k|. Receiver 0's largest
+    eigenvalue is then sum_k ||H_0k||_2^2 = ||h||_F^2, the bound behind the
+    lift."""
+    _, m = _blocks(cfg)
+    a = np.zeros((cfg.N[0], 1), dtype=complex)
+    a[:m[0]] = complex_normal(rng, m[0], 1)
+    dense = [list(row) for row in sample_channels(cfg).matrices]
+    x = np.zeros((cfg.K, max(cfg.N), max(cfg.d)), dtype=complex)
+    for k, (n_k, d_k) in enumerate(zip(cfg.N, cfg.d)):
+        b = np.zeros((n_k, 1), dtype=complex)
+        b[:m[k]] = complex_normal(rng, m[k], 1)
+        x[k, :n_k, :d_k] = np.linalg.qr(np.hstack([b, complex_normal(rng, n_k, d_k - 1)]))[0]
+        for j in range(cfg.K):
+            if j != k:
+                dense[j][k] = scale * a @ b.conj().T if j == 0 else np.zeros((cfg.N[j], n_k))
+    return ChannelSet.from_dense(cfg, dense), x
+
+
+@pytest.mark.parametrize("cfg", [
+    generic_config(3, (2, 3, 4), (1, 1, 2)),
+    block_diagonal_config(3, (1, 2, 3), 2, (1, 2, 2)),
+], ids=["generic-234", "block-diagonal-123"])
+@pytest.mark.parametrize("draw", [_scaled_channels, _rank_one], ids=["dense", "rank-one"])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_lift_puts_each_users_own_eigenvectors_first(cfg, draw, scale):
+    """One ``eigh`` of the lifted covariance stack gives each user the
+    eigenspaces of its own covariance first, then the padded unit vectors.
+    Each run is its own stack, so a rank-one run's largest eigenvalue meets
+    the bound its lift rests on."""
+    rng = substream(8, 1)
+    n = max(cfg.N)
+    for s in range(8):
+        ch, x = draw(replace(cfg, seed=s), rng, scale)
+        h = solve._cross_stack([ch])
+        run = solve._least_interference(h, x[None], solve._lift(h, cfg.N))[0][0]
+        for k, (n_k, bases) in enumerate(zip(cfg.N, run)):
+            g = np.hstack([ch.matrices[k][j] @ x[j, :cfg.N[j], :cfg.d[j]]
+                           for j in range(cfg.K) if j != k])
+            w, v = np.linalg.eigh(g @ g.conj().T)
+            if draw is _rank_one and k == 0:
+                assert w[-1] == pytest.approx(
+                    sum(np.linalg.norm(ch.matrices[0][j], 2) ** 2 for j in range(1, cfg.K)),
+                    rel=1e-12)
+            np.testing.assert_allclose(bases[:, n_k:], np.eye(n)[:, n_k:], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bases[n_k:, :n_k], 0, rtol=0, atol=1e-12)
+            for m in range(1, n_k):     # each eigenspace boundary with a clear gap
+                if w[m] - w[m - 1] > 1e-3 * w[-1]:
+                    ours, want = bases[:n_k, :m], v[:, :m]
+                    assert np.linalg.norm(ours - want @ (want.conj().T @ ours), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    generic_config(3, (2, 3, 4), (1, 1, 2)),
+    diagonal_config(3, 7, (4, 3, 3)),
+], ids=["generic-234-112", "diagonal-7-433"])
+def test_each_factorization_is_one_call_over_all_users(monkeypatch, cfg):
+    """Every ``_least_interference`` call runs one ``eigh``, and every stack of
+    bases, the initial draws and each line-search candidate stack, one ``qr``,
+    however many distinct N_k or (N_k, d_k) the users have."""
+    log = []
+
+    def logged(name, call):
+        def wrapper(*args, **kwargs):
+            log.append(name)
+            return call(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "qr"), (solve, "_least_interference")):
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    chs = [sample_channels(replace(cfg, seed=s)) for s in range(2)]
+    _minimize_runs(chs, cfg.d, SolverOptions(max_iters=20), [substream(s, 1) for s in range(2)])
+    halves = [name for name in log if name != "qr"]
+    assert halves == ["_least_interference", "eigh"] * (len(halves) // 2)
+    stacks = [name for name in log if name != "eigh"]
+    assert stacks.count("qr") >= 2     # the draws and at least one candidate stack
+    assert all(after == "_least_interference" for before, after in zip(stacks, stacks[1:])
+               if before == "qr")
 
 
 def test_polish_stops_runs_soon_after_crossing():
