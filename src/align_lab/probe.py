@@ -3,12 +3,14 @@
 The alignment equations are linear in the channel coefficients once (U, V)
 is frozen. Stacking the free cross-channel entries into a vector h turns
 them into P h = 0; every nullspace vector of P is a structured channel set
-aligned by that (U, V). Drawing many random (U, V), collecting nullspace
-bases and measuring the dimension they span gives a numerical hint as to
-whether such solutions fill the whole structured channel space. The hint is
-only a hint: linear combinations of solutions for different (U, V) are not
-themselves solutions, so a full span proves nothing by itself, and reports
-expose the raw evidence rather than a feasibility claim.
+aligned by that (U, V). Drawing many random (U, V) and measuring the
+dimension their nullspaces span gives a numerical hint as to whether such
+solutions fill the whole structured channel space. The span is never formed:
+the sum of the nullspaces null(P_i) is the orthogonal complement of the
+intersection of the row spaces range(P_i^H), which is measured instead. The
+hint is only a hint: linear combinations of solutions for different (U, V)
+are not themselves solutions, so a full span proves nothing by itself, and
+reports expose the raw evidence rather than a feasibility claim.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 from .counting import dim_channel_space
 from .model import (SystemConfig, _count, _seed, complex_normal, cross_pairs, pair_support,
                     substream)
-from .subspaces import (_BATCH_BYTES, _rank_from_singular_values, numerical_rank,
-                        orthonormal_columns)
+from .subspaces import _BATCH_BYTES, _rank_from_singular_values
 
 __all__ = [
     "ProbeReport",
@@ -75,50 +76,28 @@ def _draw(cfg: SystemConfig, rng: np.random.Generator
     return vs, us
 
 
-class _Span:
-    """One pair's nullspace bases, compressed whenever past 4 f columns; done once full."""
-
-    def __init__(self, size: int):
-        self.size = size                    # f, the pair's free-entry count
-        self.parts: list[np.ndarray] = []   # column blocks, joined only to compress
-        self.width = 0
-        self.full = False
-
-    def add(self, basis: np.ndarray) -> None:
-        self.parts.append(basis)
-        self.width += basis.shape[1]
-        if self.width > 4 * self.size:
-            span, self.parts = np.hstack(self.parts), []    # parts freed before the SVD
-            q, self.width = orthonormal_columns(span)
-            # rank f is all of C^f: no later basis can raise it
-            self.full = self.width == self.size
-            if not self.full:
-                self.parts.append(q)
-
-
 def _svd_bytes(rows: int, cols: int) -> int:
-    """Bytes of one complex ``rows`` x ``cols`` block's full SVD: the block, U and V^H."""
-    return 16 * (rows * cols + rows * rows + cols * cols)
+    """Bytes of one complex ``rows`` x ``cols`` block's thin SVD: the block, U and V^H."""
+    m = min(rows, cols)
+    return 16 * (rows * cols + rows * m + m * cols)
 
 
-def _span_rank(spans: list[_Span]) -> int:
-    """Summed numerical rank of spans of one size; equal widths share SVD calls."""
-    rank, by_width = 0, {}
-    for span in spans:
-        if span.full:
-            rank += span.size
-        elif span.width:
-            by_width.setdefault(span.width, []).append(span)
-    for width, same in by_width.items():
-        step = max(1, _BATCH_BYTES // (16 * same[0].size * width))
-        for lo in range(0, len(same), step):
-            mats = np.stack([np.hstack(span.parts) for span in same[lo:lo + step]])
-            rank += int(numerical_rank(mats).sum())
-    return rank
+def _intersect(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the intersection of range(q) and range(r).
+
+    ``q`` and ``r`` have orthonormal columns. A unit null vector (x, y) of
+    [q, -r] has q x = r y, so |x| = |y| = 1/sqrt(2), and sqrt(2) q x runs
+    over an orthonormal basis of the intersection as (x, y) runs over one of
+    the nullspace. The nullity is decided by the shared rank cutoff.
+    """
+    stacked = np.hstack([q, -r])
+    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    rank = _rank_from_singular_values(stacked.shape, s)
+    return np.sqrt(2) * (q @ vh[rank:, :q.shape[1]].conj().T)
 
 
 def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
-    """Draw (U, V) pairs, collect aligned-channel nullspaces, measure their span.
+    """Draw (U, V) pairs, count aligned-channel nullities, measure their span.
 
     P is block-diagonal by ordered pair, so its nullspace is the direct sum
     of the pairs' nullspaces and the span is measured pair by pair: a draw's
@@ -126,23 +105,25 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
     Within a batch, the pairs that share (N_j, d_j, N_k, d_k) share their
     support, so all their blocks are built by one ``pair_block`` and
     factored by one stacked SVD; every such stack stays under
-    ``subspaces._BATCH_BYTES``, so a large block is factored alone. A pair's
-    span is compressed to an orthonormal basis whenever it exceeds four times
-    the pair's free-entry count f, bounding memory without changing its rank;
-    once a compression finds rank f, the pair's span work ends and only its
+    ``subspaces._BATCH_BYTES``, so a large block is factored alone. Each
+    pair keeps an orthonormal basis of the intersection of its blocks' row
+    spaces, at most d_j d_k columns, and adds f minus its width to the span
+    rank (see the module docstring). A draw of rank f leaves the basis as it
+    is; once the basis is empty, the pair's span work ends and only its
     nullities are counted. Deterministic given (cfg, draws, seed): draw i
-    uses its own substream, and each pair accumulates in draw order, so the
+    uses its own substream, and each pair intersects in draw order, so the
     report equals that of factoring one block per draw and pair.
     """
     draws, seed = _count("draws", draws), _seed(seed)
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for j, k in cross_pairs(cfg.K):
         groups.setdefault((cfg.N[j], cfg.d[j], cfg.N[k], cfg.d[k]), []).append((j, k))
-    plans = []      # per group: its pairs, their support, blocks per SVD call, spans
+    plans = []      # per group: its pairs, their support, blocks per SVD call, bases
     for (_, d_j, _, d_k), pairs in groups.items():
         rows, cols = pair_support(cfg, *pairs[0])
         step = max(1, _BATCH_BYTES // _svd_bytes(d_j * d_k, rows.size))
-        plans.append((pairs, rows, cols, step, [_Span(rows.size) for _ in pairs]))
+        # None is all of C^f: no draw has cut the pair's row-space intersection yet
+        plans.append((pairs, rows, cols, step, [None] * len(pairs)))
     # as many draws as every group factors in one call, or one draw at a time
     batch = max(1, min(step // len(pairs) for pairs, _, _, step, _ in plans))
     nullities = [0] * draws
@@ -150,20 +131,22 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
         sols = [_draw(cfg, substream(seed, _DRAW_SALT, i))
                 for i in range(first, min(first + batch, draws))]
         n = len(sols)
-        for pairs, rows, cols, step, spans in plans:
+        for pairs, rows, cols, step, bases in plans:
             # pair-major: entry g * n + b is pair g at draw first + b
             us = np.stack([u[j] for j, _ in pairs for _, u in sols])
             vs = np.stack([v[k] for _, k in pairs for v, _ in sols])
             for lo in range(0, us.shape[0], step):
                 blocks = pair_block(us[lo:lo + step], vs[lo:lo + step], rows, cols)
-                _, s, vh = np.linalg.svd(blocks, full_matrices=True)
+                _, s, vh = np.linalg.svd(blocks, full_matrices=False)
                 ranks = _rank_from_singular_values(blocks.shape, s).tolist()
                 for i, rank in enumerate(ranks, lo):
                     nullities[first + i % n] += rows.size - rank
-                    span = spans[i // n]
-                    if not span.full:
-                        span.add(vh[i - lo, rank:].conj().T)
-    span_rank = sum(_span_rank(spans) for *_, spans in plans)
+                    q = bases[i // n]
+                    if rank < rows.size and (q is None or q.shape[1]):
+                        r = vh[i - lo, :rank].conj().T
+                        bases[i // n] = r if q is None else _intersect(q, r)
+    span_rank = sum(0 if q is None else rows.size - q.shape[1]
+                    for _, rows, _, _, bases in plans for q in bases)
     dim_target = dim_channel_space(cfg)
     return ProbeReport(draws=draws,
                        nontrivial_draws=sum(1 for x in nullities if x >= 1),

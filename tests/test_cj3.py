@@ -14,6 +14,7 @@ from align_lab.counting import cj_config, cj_parameters, tdma_baseline
 from align_lab.errors import DegenerateSpan, DimensionMismatch, SingularChannel
 from align_lab.model import (
     ChannelSet,
+    IaSolution,
     diagonal_config,
     generic_config,
     sample_channels,
@@ -154,6 +155,22 @@ def test_instance_shape_guard():
     inst = build_instance(1, seed=0)
     with pytest.raises(DimensionMismatch):
         Cj3Instance(n=2, channels=inst.channels, solution=inst.solution)
+
+
+@pytest.mark.parametrize("swap,message", [
+    ("channels", "channels: N=(5, 5, 5) is not three copies of 2n+1=3 for n=1"),
+    ("solution", "solution: N=(5, 5, 5) is not three copies of 2n+1=3 for n=1"),
+    ("streams", "stream split (1, 1, 1) is not (n+1, n, n) for n=1"),
+])
+def test_instance_guard_names_what_is_wrong(swap, message):
+    one, two = build_instance(1, seed=0), build_instance(2, seed=0)
+    ones = (np.ones((3, 1)),) * 3
+    parts = {"channels": (two.channels, one.solution),
+             "solution": (one.channels, two.solution),
+             "streams": (one.channels, IaSolution(V=ones, U=ones))}[swap]
+    with pytest.raises(DimensionMismatch) as exc:
+        Cj3Instance(1, *parts)
+    assert str(exc.value) == message
 
 
 def test_instance_rejects_channels_of_another_index():

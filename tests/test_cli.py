@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import align_lab
 from align_lab import probe
-from align_lab.cli import _emit, _json_text, build_parser, main
+from align_lab.cli import _emit, _json_text, build_parser, main, parse_range, polynomial_system_text
+from align_lab.errors import DimensionMismatch, InvalidSpec
 from align_lab.model import (
     IaSolution,
     block_diagonal_config,
@@ -60,6 +61,20 @@ def run_json(tmp_path, args, out="out.json"):
     rc = main(args + ["--out", str(path)])
     assert rc == 0, f"exit {rc} for {args}"
     return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: parse_range("2:x"), InvalidSpec, "bad integer range '2:x', expected 'N' or 'LO:HI'"),
+    (lambda: parse_range("5:3"), InvalidSpec, "range '5:3' is empty"),
+    (lambda: polynomial_system_text(generic_config(2, 2, 1),
+                                    sample_channels(diagonal_config(2, 2, 1))),
+     DimensionMismatch, "channels (diagonal, N=(2, 2), M=None) are not in the layout of "
+                        "the config (generic, N=(2, 2), M=None)"),
+])
+def test_cli_helpers_name_what_is_wrong(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_bounds_sweep_validates_and_stays_below_half(tmp_path):

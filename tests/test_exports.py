@@ -1,6 +1,7 @@
 """Every exported name resolves: stale ``__all__`` entries break star imports
 and anything that walks a module's exports."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -21,6 +22,30 @@ def test_all_names_resolve(name):
     missing = [attr for attr in exported if not hasattr(mod, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     assert len(set(exported)) == len(exported), name
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's top-level imports that nothing reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(Path(align_lab.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
 def test_star_import_works():

@@ -17,6 +17,7 @@ from align_lab.counting import (cj_config, cj_parameters, dim_channel_space, equ
 from align_lab.errors import DimensionMismatch, InvalidSpec, StreamOverflow
 from align_lab.model import (
     ChannelSet,
+    ChannelStructure,
     IaSolution,
     StructureKind,
     SystemConfig,
@@ -84,6 +85,55 @@ def test_validate_rejects_length_mismatch():
     with pytest.raises(DimensionMismatch):
         SystemConfig(K=3, N=(2, 2), d=(1, 1, 1),
                      structure=generic_config(3, 2, 1).structure)
+
+
+GENERIC, DIAGONAL = ChannelStructure("generic"), ChannelStructure("diagonal")
+OFDM_2 = ChannelStructure("block-diagonal", 2)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SystemConfig(2, (2, 2), (1,), GENERIC), "d has 1 entries for K=2 users"),
+    (lambda: SystemConfig(2, (2, 0), (1, 1), GENERIC),
+     "signal dimensions must be positive, got N=(2, 0)"),
+    (lambda: SystemConfig(2, (2, 2), (1, 0), GENERIC),
+     "stream counts must be positive, got d=(1, 0)"),
+    (lambda: SystemConfig(2, (2, 2), (1, 1), ChannelStructure("block-diagonal"), M=(1, 1)),
+     "block-diagonal structure requires a positive subcarrier count"),
+    (lambda: SystemConfig(2, (2, 2), (1, 1), ChannelStructure("block-diagonal", 0), M=(2, 2)),
+     "block-diagonal structure requires a positive subcarrier count"),
+    (lambda: SystemConfig(2, (2, 2), (1, 1), OFDM_2, M=(1,)),
+     "block-diagonal structure requires per-user antenna counts M"),
+    (lambda: SystemConfig(2, (2, 2), (1, 1), OFDM_2, M=(1, 0)),
+     "antenna counts must be positive, got M=(1, 0)"),
+    (lambda: SystemConfig(2, (2, 3), (1, 1), OFDM_2, M=(1, 1)),
+     "user 1: N_k=3 is not M_k*N_c=1*2=2"),
+    (lambda: SystemConfig(2, (2, 2), (1, 1), ChannelStructure("generic", 2)),
+     "subcarrier count is only meaningful for block-diagonal structures, got kind=generic"),
+    (lambda: SystemConfig(2, (2, 2), (1, 1), DIAGONAL, M=(1, 1)),
+     "antenna counts M are only meaningful for block-diagonal structures"),
+    (lambda: SystemConfig(2, (2, 3), (1, 1), DIAGONAL),
+     "diagonal structure requires a common signal dimension, got N=(2, 3)"),
+    (lambda: ChannelSet(generic_config(2, 2, 1), [[np.zeros(4), np.zeros(3)],
+                                                  [np.zeros(4), np.zeros(4)]]),
+     "H[0][1] has free entries of shape (3,), expected (4,)"),
+    (lambda: IaSolution(V=(np.ones((2, 1)),) * 2, U=(np.ones((2, 1)),) * 3),
+     "2 precoders vs 3 decoders"),
+    (lambda: IaSolution(V=(np.ones((2, 1)), np.ones((3, 1))), U=(np.ones((2, 1)),) * 2),
+     "user 1: precoder shape (3, 1) vs decoder shape (2, 1)"),
+    (lambda: IaSolution(V=(np.ones((2, 1)), np.ones(2)), U=(np.ones((2, 1)), np.ones(2))),
+     "user 1: precoder shape (2,) vs decoder shape (2,)"),
+    (lambda: IaSolution(V=(np.ones((2, 3)),), U=(np.ones((2, 3)),)),
+     "user 0: 3 streams do not fit in dimension 2"),
+    (lambda: IaSolution(V=(np.ones((2, 0)),), U=(np.ones((2, 0)),)),
+     "user 0: 0 streams do not fit in dimension 2"),
+], ids=["d-length", "N-positive", "d-positive", "no-subcarriers", "zero-subcarriers",
+        "M-length", "M-positive", "N-is-M-times-Nc", "generic-subcarriers", "diagonal-M",
+        "diagonal-common-N", "free-entry-shape", "user-counts", "user-shapes", "user-ndim",
+        "too-many-streams", "no-streams"])
+def test_model_objects_name_what_is_wrong(build, message):
+    with pytest.raises(DimensionMismatch) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_validate_rejects_nonpositive_users():

@@ -288,24 +288,47 @@ def test_batched_probe_matches_the_loop_on_small_configs(cfg, draws, seed):
     assert run_probe(cfg, draws, seed) == _loop_probe(cfg, draws, seed)
 
 
-def test_a_full_span_ends_its_pair_span_work(monkeypatch):
-    """Nullity 3 of f = 4 per draw: the sixth draw compresses to rank 4, the last time.
+def counted_intersections(monkeypatch):
+    """Widths of the bases that ``probe._intersect`` returns, call by call."""
+    widths = []
+    intersect = probe._intersect
 
-    Every pair passes 4 f columns by its sixth draw, so as many compressions
-    as pairs means each pair compressed exactly once.
+    def counted(q, r):
+        basis = intersect(q, r)
+        widths.append(basis.shape[1])
+        return basis
+
+    monkeypatch.setattr(probe, "_intersect", counted)
+    return widths
+
+
+def test_a_full_span_ends_its_pair_span_work(monkeypatch):
+    """Row spaces are lines in C^4: the second draw's line misses the first.
+
+    Each pair's first draw sets its basis and its second empties it, so two
+    pairs make two intersections in all, however many draws follow.
     """
     cfg = generic_config(2, 2, 1)
-    ranks = []
-
-    def counted(a):
-        q, rank = orthonormal_columns(a)
-        ranks.append(rank)
-        return q, rank
-
-    monkeypatch.setattr(probe, "orthonormal_columns", counted)
+    widths = counted_intersections(monkeypatch)
     rep = run_probe(cfg, 50, seed=0)
-    assert ranks == [4, 4]
+    assert widths == [0, 0]
+    assert rep.span_rank == rep.dim_target == 8
     assert rep == _loop_probe(cfg, 50, 0)
+
+
+def test_row_spaces_that_still_meet_keep_their_pair_span_work(monkeypatch):
+    """Two 4-dimensional row spaces in C^7 meet in a line; a third misses it."""
+    cfg = diagonal_config(3, 7, 2)
+    widths = counted_intersections(monkeypatch)
+    two = run_probe(cfg, 2, seed=0)
+    assert widths == [1] * 6
+    assert (two.span_rank, two.dim_target) == (36, 42)
+    assert two == _loop_probe(cfg, 2, 0)
+    widths.clear()
+    three = run_probe(cfg, 3, seed=0)
+    assert sorted(widths) == [0] * 6 + [1] * 6      # pair by pair, a line, then nothing
+    assert three.span_rank == 42 and three.filled
+    assert three == _loop_probe(cfg, 3, 0)
 
 
 def test_pair_block_takes_stacks():
@@ -368,7 +391,8 @@ def test_empty_matrices_have_rank_zero_and_complete_nullspaces(m, n):
 
 
 def test_probe_memory_stays_at_one_block_per_call():
-    """Large-f blocks fall back to one per SVD call: the peak stays at the loop's."""
+    """Thin SVDs of 1 x 201 blocks share calls under the batch budget, and each
+    pair keeps a basis of at most one column: the peak stays below the loop's."""
     cfg = diagonal_config(3, 201, 1)
     run_probe(cfg, 1)
     tracemalloc.start()

@@ -572,6 +572,22 @@ def test_overloaded_config_is_rejected():
     assert verdict.best_leakage > 100 * 1e-8
 
 
+@pytest.mark.parametrize("cfg,opts,successes", [
+    # one run in six aligns: too few for LikelyFeasible, too many for LikelyInfeasible
+    (diagonal_config(4, 6, (3, 2, 2, 2)), SolverOptions(trials=6, seed=0), 1),
+    # no run aligns in 3 iterations, but the best one is within 100 x tol
+    (generic_config(3, 2, 1), SolverOptions(max_iters=3, trials=6, seed=1), 0),
+])
+def test_verdict_is_inconclusive_between_the_two_rules(cfg, opts, successes):
+    verdict = classify(cfg, opts)
+    assert verdict.classification is Classification.INCONCLUSIVE
+    assert verdict.witness_status == "not_applicable"
+    assert sum(r.success for r in verdict.records) == successes
+    assert verdict.success_rate == successes / 6 < 0.5
+    if not successes:
+        assert opts.tol_align < verdict.best_leakage <= 100 * opts.tol_align
+
+
 def test_proper_five_user_config_is_recognized():
     # generic K=5, N=6, d=2 is feasible; alternating minimization alone left
     # 18 of its 20 runs at the iteration cap

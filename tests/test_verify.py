@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from align_lab.cj3 import build_instance
 from align_lab.cli import _verification_json
-from align_lab.errors import RankDeficient
+from align_lab.errors import DimensionMismatch, RankDeficient
 from align_lab.model import (
     ChannelSet,
     IaSolution,
@@ -43,6 +43,17 @@ def random_solution(cfg, seed=0):
     v = tuple(complex_normal(rng, nk, dk) for nk, dk in zip(cfg.N, cfg.d))
     u = tuple(complex_normal(rng, nk, dk) for nk, dk in zip(cfg.N, cfg.d))
     return IaSolution(V=v, U=u)
+
+
+@pytest.mark.parametrize("channels,solution,message", [
+    (generic_config(3, 2, 1), generic_config(2, 2, 1), "solution has 2 users, channels have 3"),
+    (generic_config(2, 3, 1), generic_config(2, (3, 2), 1),
+     "solution dimensions (3, 2) do not match channel dimensions (3, 3)"),
+])
+def test_check_names_mismatched_dimensions(channels, solution, message):
+    with pytest.raises(DimensionMismatch) as exc:
+        check(sample_channels(channels), random_solution(solution))
+    assert str(exc.value) == message
 
 
 def test_identity_case_is_aligned_with_full_rank():
