@@ -141,7 +141,7 @@ def construct(ch: ChannelSet, n: int) -> IaSolution:
     # receiver k's interference span, by (a)-(c): H[k][j] V_j for this j
     us = []
     for k, (j, vj) in enumerate(((1, v2), (0, v1), (0, v1))):
-        w = h[k][j][:, None] * vj
+        w = ch.apply(k, j, vj)
         us.append(np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:])
 
     return IaSolution(V=(v1, v2, v3), U=tuple(us))

@@ -270,20 +270,19 @@ def _frozen(a, what: str) -> np.ndarray:
     return a
 
 
-def _counted(items: Iterable, K: int, row: int | None = None) -> Iterator[tuple[int, object]]:
-    """``enumerate(items)``, raising DimensionMismatch unless exactly K items come.
+def _rows(items: Iterable[Iterable], K: int) -> list[list]:
+    """``items`` read into K lists of K entries, each row read as it arrives.
 
-    ``items`` are the channel rows, or with ``row`` that row's entries. Items
-    past the K-th are counted for the message, never handed out.
+    Raises DimensionMismatch, counting by ``len``, unless there are K rows of
+    K entries; the row count is checked first.
     """
-    it = iter(items)
-    count = 0
-    for count, item in zip(range(1, K + 1), it):
-        yield count - 1, item
-    count += sum(1 for _ in it)
-    if count != K:
-        raise DimensionMismatch(f"{count} channel rows for K={K}" if row is None else
-                                f"channel row {row} has {count} entries for K={K}")
+    rows = [list(row) for row in items]
+    if len(rows) != K:
+        raise DimensionMismatch(f"{len(rows)} channel rows for K={K}")
+    for j, row in enumerate(rows):
+        if len(row) != K:
+            raise DimensionMismatch(f"channel row {j} has {len(row)} entries for K={K}")
+    return rows
 
 
 class _DenseRow(Sequence):
@@ -298,7 +297,12 @@ class _DenseRow(Sequence):
         return self._ch.K
 
     def __getitem__(self, k: int) -> np.ndarray:
-        return self._ch._dense(self._j, range(self._ch.K)[k])
+        ch, j = self._ch, self._j
+        k = range(ch.K)[k]
+        h = np.zeros((ch.N[j], ch.N[k]), dtype=complex)
+        h[pair_support(ch, j, k)] = ch.free[j][k]
+        h.flags.writeable = False
+        return h
 
 
 class ChannelSet:
@@ -312,7 +316,9 @@ class ChannelSet:
     ``ChannelSet(shape, free)`` stores a read-only copy of each free-entry
     vector for ``shape``'s N, structure and M, so later edits to the inputs
     never reach it. ``free`` may be any iterable of K rows of K vectors, a
-    generator included; each vector is copied as it arrives.
+    generator included: the rows are read into lists and counted, and then
+    each vector is replaced by its checked copy in turn, so a vector and its
+    copy coexist for one pair at a time.
     ``ChannelSet.from_dense(cfg, matrices)`` gathers them from dense matrices.
     """
 
@@ -322,18 +328,15 @@ class ChannelSet:
                  free: Iterable[Iterable[np.ndarray]]) -> None:
         for name in ("N", "structure", "M"):
             object.__setattr__(self, name, getattr(shape, name))
-        rows = []
-        for j, row in _counted(free, self.K):
-            vectors = []
-            for k, v in _counted(row, self.K, j):
-                v = _frozen(v, f"H[{j}][{k}]")
+        rows = _rows(free, self.K)
+        for j, row in enumerate(rows):
+            for k, v in enumerate(row):
+                row[k] = v = _frozen(v, f"H[{j}][{k}]")
                 size = _pair_size(self, j, k)
                 if v.shape != (size,):
                     raise DimensionMismatch(f"H[{j}][{k}] has free entries of shape "
                                             f"{v.shape}, expected ({size},)")
-                vectors.append(v)
-            rows.append(tuple(vectors))
-        object.__setattr__(self, "free", tuple(rows))
+        object.__setattr__(self, "free", tuple(map(tuple, rows)))
 
     @classmethod
     def from_dense(cls, cfg: SystemConfig,
@@ -360,9 +363,8 @@ class ChannelSet:
                     f"outside the {cfg.structure.kind.value} structure")
             return h[support]
 
-        rows = list(_counted(matrices, cfg.K))  # count the rows before reading any matrix
-        return cls(cfg, ((gathered(j, k, h) for k, h in _counted(row, cfg.K, j))
-                         for j, row in rows))
+        return cls(cfg, [[gathered(j, k, h) for k, h in enumerate(row)]
+                         for j, row in enumerate(_rows(matrices, cfg.K))])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ChannelSet is immutable; cannot set {name!r}")
@@ -375,12 +377,6 @@ class ChannelSet:
     def matrices(self) -> tuple[Sequence[np.ndarray], ...]:
         """Dense view: ``matrices[j][k]`` builds H[j][k], read-only and not cached."""
         return tuple(_DenseRow(self, j) for j in range(self.K))
-
-    def _dense(self, j: int, k: int) -> np.ndarray:
-        h = np.zeros((self.N[j], self.N[k]), dtype=complex)
-        h[pair_support(self, j, k)] = self.free[j][k]
-        h.flags.writeable = False
-        return h
 
     def apply(self, j: int, k: int, x: np.ndarray) -> np.ndarray:
         """H[j][k] @ x for an N_k x c array ``x``, from the free entries alone.
@@ -402,7 +398,7 @@ def sample_channels(cfg: SystemConfig) -> ChannelSet:
 
     Every free entry is an independent CN(0, 1) draw from the (seed, j, k)
     substream, written straight into the pair's free-entry vector; confined
-    entries are exactly zero; each pair is drawn as ``ChannelSet`` takes it.
+    entries are exactly zero; ``ChannelSet`` replaces each draw by its copy in turn.
     The same config (seed included) always yields a bit-identical channel set.
     """
     return ChannelSet(cfg, ((complex_normal(substream(cfg.seed, j, k), _pair_size(cfg, j, k))

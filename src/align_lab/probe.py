@@ -22,7 +22,7 @@ import numpy as np
 from .counting import dim_channel_space
 from .model import (SystemConfig, _count, _seed, complex_normal, cross_pairs, pair_support,
                     substream)
-from .subspaces import _BATCH_BYTES, _rank_from_singular_values
+from .subspaces import _BATCH_BYTES, _rank_from_singular_values, nullspace_basis
 
 __all__ = [
     "ProbeReport",
@@ -90,10 +90,7 @@ def _intersect(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     over an orthonormal basis of the intersection as (x, y) runs over one of
     the nullspace. The nullity is decided by the shared rank cutoff.
     """
-    stacked = np.hstack([q, -r])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    rank = _rank_from_singular_values(stacked.shape, s)
-    return np.sqrt(2) * (q @ vh[rank:, :q.shape[1]].conj().T)
+    return np.sqrt(2) * (q @ nullspace_basis(np.hstack([q, -r]))[:q.shape[1]])
 
 
 def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:

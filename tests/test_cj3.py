@@ -151,6 +151,17 @@ def test_identical_channels_collapse_the_chain():
         construct(all_ones_channels(5), 2)
 
 
+def test_rescaled_precoders_that_lose_rank_raise():
+    # a huge slot in H[1][0] and H[2][0] swamps the rescaled copies of the
+    # Krylov basis, so orthonormalizing them loses a direction
+    ch = sample_channels(cj_config(3, 2, seed=0))
+    free = [[v.copy() for v in row] for row in ch.free]
+    for k in (1, 2):
+        free[k][0][0] *= 1e16
+    with pytest.raises(DegenerateSpan, match=r"^rescaled precoders lost rank \(1, 1 < 2\)$"):
+        construct(ChannelSet(ch, free), 2)
+
+
 def test_instance_shape_guard():
     inst = build_instance(1, seed=0)
     with pytest.raises(DimensionMismatch):

@@ -283,6 +283,26 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, flag, edit, what):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry, shape", [([], "(0,)"), ([[]], "(1, 0)")],
+                         ids=["empty", "empty-row"])
+def test_empty_channel_matrix_is_named_by_its_shape(tmp_path, capsys, entry, shape):
+    # an empty matrix passes the JSON reader, and the config's shape check names it
+    cfg = generic_config(2, 2, 1)
+    doc = [[pairs(m) for m in row] for row in sample_channels(cfg).matrices]
+    doc[0][0] = entry
+    ch_path = tmp_path / "ch.json"
+    ch_path.write_text(json.dumps(doc))
+    ones = (np.ones((2, 1)),) * 2
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(solution_text(IaSolution(V=ones, U=ones)))
+    capsys.readouterr()
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--channels",
+                 str(ch_path), "--solution", str(sol_path),
+                 "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: H[0][0] has shape {shape}, expected (2, 2)\n"
+
+
 @pytest.mark.parametrize("entry", [[True, False], [1, 0]], ids=["bool", "int"])
 def test_bool_and_int_channel_entries_are_numbers(tmp_path, entry):
     paths = write_witness_with_stray_entry(tmp_path)

@@ -34,18 +34,45 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used.update(_all_entries(tree))
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(Path(align_lab.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+def _all_entries(tree: ast.Module) -> list[str]:
+    """The names a module lists in its top-level ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+SOURCES = sorted(Path(align_lab.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_definition_is_read():
+    # a module-level function or class that no module of the package reads
+    # by name, attribute, import or ``__all__`` is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        read.update(_all_entries(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    dead = [f"{name}: {node.name} (line {node.lineno})"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+    assert not dead, f"definitions nothing reads: {dead}"
 
 
 def test_star_import_works():

@@ -382,8 +382,23 @@ def test_channel_set_counts_rows_as_they_arrive():
     assert all(np.array_equal(w, v) for row in ch.free for w in row)
 
 
+def test_channel_set_reports_its_counts_first():
+    # with several faults in one input, the row count is named before the
+    # shape of any vector
+    cfg = generic_config(2, 2, 1)
+    v, bad = np.ones(4, dtype=complex), np.ones(3, dtype=complex)
+    with pytest.raises(DimensionMismatch, match="^3 channel rows for K=2$"):
+        ChannelSet(cfg, [[bad, v], [v, v], [v, v]])
+    with pytest.raises(DimensionMismatch, match="^channel row 1 has 3 entries for K=2$"):
+        ChannelSet(cfg, [[bad, v], [v, v, v]])
+    with pytest.raises(DimensionMismatch, match=r"^H\[0\]\[0\] has free entries of shape "
+                                                r"\(3,\), expected \(4,\)$"):
+        ChannelSet(cfg, [[bad, v], [v, v]])
+
+
 def test_sampling_copies_one_draw_at_a_time():
-    # a drawn vector and its stored copy coexist for one pair only, so the
+    # the draws are read into lists, and each is then replaced by its stored
+    # copy in turn, so a draw and its copy coexist for one pair only and the
     # peak stays near the bytes held (2.0x when every draw outlived its copy)
     cfg = cj_config(4, 5)
     sample_channels(cj_config(3, 1))  # one-time set-up is no part of a draw
