@@ -16,15 +16,14 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import cj3 as cj3_mod
-from .counting import (cj_config, cj_parameters, improper_by_threshold, is_proper,
-                       min_improper_n, symmetric_bound, tdma_baseline)
+from .counting import (cj_config, cj_parameters, is_proper, min_improper_n,
+                       symmetric_bound, tdma_baseline)
 from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficient,
                      SingularChannel, StreamOverflow)
 from .model import (ChannelSet, IaSolution, SystemConfig, config_from_json,
@@ -54,11 +53,6 @@ def parse_range(text: str) -> list[int]:
 def _load_json(path: Path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _load_config(path: Path, seed: int | None) -> SystemConfig:
-    cfg = config_from_json(_load_json(path))
-    return replace(cfg, seed=seed) if seed is not None else cfg
 
 
 def _load_channels(args: argparse.Namespace, cfg: SystemConfig) -> ChannelSet:
@@ -117,15 +111,13 @@ def cmd_contradiction(args: argparse.Namespace):
     for K in Ks:
         found = min_improper_n(K, args.n_max)
         row = {"K": K, "min_improper_n": found, "N_s": None, "d_first": None,
-               "d_other": None, "N_e": None, "N_v": None,
-               "improper_by_threshold": None}
+               "d_other": None, "N_e": None, "N_v": None}
         if found is not None:
             p = cj_parameters(K, found)
             report = is_proper(cj_config(K, found))
             assert not report.proper
             row.update({"N_s": p.N_s, "d_first": p.d[0], "d_other": p.d[1],
-                        "N_e": report.N_e, "N_v": report.N_v,
-                        "improper_by_threshold": improper_by_threshold(K, found)})
+                        "N_e": report.N_e, "N_v": report.N_v})
         rows.append(row)
     return {"n_max": args.n_max, "rows": rows}, rows, None
 
@@ -170,7 +162,7 @@ def cmd_cj3(args: argparse.Namespace):
 
 def cmd_probe(args: argparse.Namespace):
     # --seed steers the draws, not the channels: the config keeps its seed
-    cfg = _load_config(args.config, None)
+    cfg = config_from_json(_load_json(args.config))
     report = run_probe(cfg, args.draws, seed=args.seed)
     payload = {"config": config_to_json(cfg), "draws_seed": args.seed,
                **dataclasses.asdict(report)}
@@ -180,7 +172,7 @@ def cmd_probe(args: argparse.Namespace):
 
 
 def cmd_solve(args: argparse.Namespace):
-    cfg = _load_config(args.config, None)
+    cfg = config_from_json(_load_json(args.config))
     opts = SolverOptions(max_iters=args.max_iters, tol_align=args.tol,
                          restarts=args.restarts, trials=args.trials, seed=args.seed)
     verdict = classify(cfg, opts)
@@ -213,7 +205,7 @@ def cmd_solve(args: argparse.Namespace):
 
 
 def cmd_verify(args: argparse.Namespace):
-    cfg = _load_config(args.config, args.seed)
+    cfg = config_from_json(_load_json(args.config))
     ch = _load_channels(args, cfg)
     V, U = _matrices_from_json(_load_json(args.solution), "solution", ("V", "U"))
     sol = IaSolution(V=V, U=U)
@@ -227,7 +219,7 @@ def cmd_verify(args: argparse.Namespace):
 
 
 def cmd_export_poly(args: argparse.Namespace):
-    cfg = _load_config(args.config, args.seed)
+    cfg = config_from_json(_load_json(args.config))
     return None, None, polynomial_system_text(cfg, _load_channels(args, cfg))
 
 
@@ -427,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--channels", type=Path, default=None,
                     help="channels JSON path (default: sample from config)")
     sp.add_argument("--tol", type=float, default=TOL_ALIGN, help="leakage tolerance")
-    common(sp, cmd_verify, seed_help="channel seed override")
+    common(sp, cmd_verify)
 
     sp = sub.add_parser("export-poly",
                         help="write the alignment equations as a polynomial system")
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
     sp.add_argument("--channels", type=Path, default=None,
                     help="channels JSON path (default: sample from config)")
-    common(sp, cmd_export_poly, seed_help="channel seed override", formats=False)
+    common(sp, cmd_export_poly, formats=False)
     return parser
 
 

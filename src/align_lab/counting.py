@@ -40,7 +40,6 @@ __all__ = [
     "min_improper_n",
     "improper_by_threshold",
     "dim_channel_space",
-    "sparse_dim_deficit",
 ]
 
 
@@ -172,13 +171,3 @@ def dim_channel_space(cfg: SystemConfig) -> int:
     """
     n_c, m = _blocks(cfg)
     return n_c * (sum(m) ** 2 - sum(x * x for x in m))
-
-
-def sparse_dim_deficit(cfg: SystemConfig) -> int:
-    """Equation count minus channel-space dimension.
-
-    A positive value certifies that the alignment map has more equations than
-    the structured channel space has dimensions, so the generic dominance
-    argument behind the properness bound cannot apply to this structure.
-    """
-    return equation_count(cfg.d) - dim_channel_space(cfg)

@@ -286,7 +286,8 @@ def _rows(items: Iterable[Iterable], K: int) -> list[list]:
 
 
 class _DenseRow(Sequence):
-    """Row j of ``ChannelSet.matrices``: H[j][k] is built when indexed."""
+    """Row j of ``ChannelSet.matrices``: H[j][k] is built when indexed; a
+    slice gives a tuple of them, as a tuple row would."""
 
     __slots__ = ("_ch", "_j")
 
@@ -296,9 +297,11 @@ class _DenseRow(Sequence):
     def __len__(self) -> int:
         return self._ch.K
 
-    def __getitem__(self, k: int) -> np.ndarray:
+    def __getitem__(self, k: int | slice) -> np.ndarray | tuple[np.ndarray, ...]:
         ch, j = self._ch, self._j
         k = range(ch.K)[k]
+        if isinstance(k, range):
+            return tuple(map(self.__getitem__, k))
         h = np.zeros((ch.N[j], ch.N[k]), dtype=complex)
         h[pair_support(ch, j, k)] = ch.free[j][k]
         h.flags.writeable = False
@@ -381,9 +384,14 @@ class ChannelSet:
     def apply(self, j: int, k: int, x: np.ndarray) -> np.ndarray:
         """H[j][k] @ x for an N_k x c array ``x``, from the free entries alone.
 
+        DimensionMismatch, naming the pair, unless ``x`` is 2-D with N_k rows.
         One batched matmul over the N_c blocks; an elementwise product when
         both blocks are 1 x 1.
         """
+        shape = np.shape(x)
+        if len(shape) != 2 or shape[0] != self.N[k]:
+            raise DimensionMismatch(f"H[{j}][{k}] @ x needs an N_k x c array with "
+                                    f"N_k={self.N[k]}, got shape {shape}")
         v = self.free[j][k]
         n_c, m = _blocks(self)
         if m[j] == m[k] == 1:

@@ -39,8 +39,7 @@ class ProbeReport:
 
     ``filled`` records span_rank = dim_target, the heuristic "solutions fill
     the space" indicator; it is an experimental output, not a feasibility
-    verdict. ``sd_upper_bound`` is dim_target - 1, the ceiling on the
-    dimension of any proper algebraic subset of solution channels.
+    verdict.
     """
 
     draws: int
@@ -48,7 +47,6 @@ class ProbeReport:
     per_draw_nullity: tuple[int, ...]
     span_rank: int
     dim_target: int
-    sd_upper_bound: int
     filled: bool
 
 
@@ -150,5 +148,4 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
                        per_draw_nullity=tuple(nullities),
                        span_rank=span_rank,
                        dim_target=dim_target,
-                       sd_upper_bound=dim_target - 1,
                        filled=span_rank == dim_target)

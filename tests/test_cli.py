@@ -20,7 +20,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import align_lab
-from align_lab import probe
 from align_lab.cli import _emit, _json_text, build_parser, main, parse_range, polynomial_system_text
 from align_lab.errors import DimensionMismatch, InvalidSpec
 from align_lab.model import (
@@ -111,7 +110,7 @@ def test_contradiction_known_flips(tmp_path):
     assert by_k[4]["min_improper_n"] == 5
     assert by_k[4]["N_s"] == 10901
     assert by_k[5]["min_improper_n"] == 6
-    assert by_k[4]["improper_by_threshold"] is True
+    assert by_k[4]["N_e"] > by_k[4]["N_v"]
 
 
 def test_contradiction_reports_absence_for_three_users(tmp_path):
@@ -336,14 +335,14 @@ def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command, tol):
 
 def test_verify_reports_misalignment_without_failing(tmp_path):
     cfg = generic_config(2, 2, 1, seed=6)
-    cfg_path = write_config(tmp_path, cfg)
+    cfg_path = write_config(tmp_path, generic_config(2, 2, 1, seed=999))
     rng = substream(6, 123)
     sol = _minimize_runs([sample_channels(cfg)], cfg.d,
                          SolverOptions(max_iters=1), [rng])[0][0]
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(solution_text(sol))
     doc = run_json(tmp_path, ["verify", "--config", cfg_path,
-                              "--solution", str(sol_path), "--seed", "999"])
+                              "--solution", str(sol_path)])
     assert doc["result"]["aligned"] is False  # wrong channels; the check still ran
 
 
@@ -497,17 +496,12 @@ def test_cj3_names_a_nonpositive_index(tmp_path, capsys, n):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "probe", "cj3", "verify", "export-poly"])
+@pytest.mark.parametrize("command", ["solve", "probe", "cj3"])
 def test_negative_seed_is_named(tmp_path, capsys, command):
-    cfg = generic_config(3, 2, 1)
-    cfg_path = write_config(tmp_path, cfg)
-    sol_path = tmp_path / "sol.json"
-    sol_path.write_text(solution_text(IaSolution(*probe._draw(cfg, substream(0, 1)))))
+    cfg_path = write_config(tmp_path, generic_config(3, 2, 1))
     args = {"solve": ["--config", cfg_path, "--trials", "1", "--max-iters", "2"],
             "probe": ["--config", cfg_path, "--draws", "1"],
-            "cj3": ["--n", "1"],
-            "verify": ["--config", cfg_path, "--solution", str(sol_path)],
-            "export-poly": ["--config", cfg_path]}[command]
+            "cj3": ["--n", "1"]}[command]
     out = tmp_path / "o.json"
     capsys.readouterr()
     assert main([command, *args, "--seed", "-1", "--out", str(out)]) == 2
@@ -525,7 +519,7 @@ def test_seeds_beyond_64_bits_are_accepted(tmp_path):
 @pytest.mark.parametrize("command, header", [
     ("bounds", "K,param,exact,value,source"),
     ("cj-params", "K,n,N_exp,N_s,d_first,d_other,d_total,d_bar,d_bar_value"),
-    ("contradiction", "K,min_improper_n,N_s,d_first,d_other,N_e,N_v,improper_by_threshold"),
+    ("contradiction", "K,min_improper_n,N_s,d_first,d_other,N_e,N_v"),
     ("cj3", "n,N_s,seed,leakage,max_cross_residual,direct_ranks,aligned,rank_ok,"
             "d_bar,d_bar_value,exceeds_tdma"),
     ("probe", "draw,nullity"),
@@ -628,8 +622,8 @@ EXACT_DIGESTS = {
     ("bounds", "csv"): "47d32012129df6add5857080cb94d77c6c9bd45ec56d1aa6ccd77fb4aca8fd23",
     ("cj-params", "json"): "96bdef4832a0cb64c521764a507e458372baf7b88dca04d64e78b205826039b7",
     ("cj-params", "csv"): "f5a6d6377d491bb7a998bda3409954ed8740ff937fe31259e34ab61745ddc764",
-    ("contradiction", "json"): "58509232196ef7170e6792aa2fbe68d05e9fbfd81403fa94c8227497decd8d9a",
-    ("contradiction", "csv"): "53898a7f441d04f3ea20785704e4e8b8987fefb58ae694cc81b6383036d96700",
+    ("contradiction", "json"): "3507c379622a3468604d0d0540d15a345e50f3a7e965ca75422cf387be169a3c",
+    ("contradiction", "csv"): "e2fbcc5fcae058ba1594dcb0dbf0f74de6d99ed919d4c93a42c1b73d15118006",
 }
 
 
@@ -689,23 +683,26 @@ def test_seed_meaning_per_subcommand(tmp_path):
     assert (doc["config"]["seed"], doc["options"]["seed"]) == (3, 2)
     # cj3: --seed is the channel seed, 0 by default
     assert run_json(tmp_path, ["cj3", "--n", "1"])["seed"] == 0
-    # verify and export-poly: --seed overrides the config's channel seed
+    # verify and export-poly: the config's seed is the channel seed; no flag
+    # overrides it (see test_flags_a_subcommand_would_ignore_are_rejected)
     paths = write_witness_with_stray_entry(tmp_path)
     doc = run_json(tmp_path, ["verify", "--config", str(paths["config"]),
-                              "--solution", str(paths["solution"]), "--seed", "9"])
-    assert doc["config"]["seed"] == 9
+                              "--solution", str(paths["solution"])])
+    assert doc["config"]["seed"] == 3
     out = tmp_path / "sys.txt"
-    assert main(["export-poly", "--config", str(paths["config"]), "--seed", "9",
-                 "--out", str(out)]) == 0
-    assert " seed=9\n" in out.read_text().splitlines(keepends=True)[0]
+    assert main(["export-poly", "--config", str(paths["config"]), "--out", str(out)]) == 0
+    assert " seed=3\n" in out.read_text().splitlines(keepends=True)[0]
 
 
 @pytest.mark.parametrize("args", [
     ["bounds", "--seed", "7"],
     ["cj-params", "--K", "4", "--seed", "7"],
     ["contradiction", "--seed", "7"],
+    ["verify", "--config", "cfg.json", "--solution", "sol.json", "--seed", "9"],
+    ["export-poly", "--config", "cfg.json", "--seed", "9"],
     ["export-poly", "--config", "cfg.json", "--format", "csv"],
-], ids=["bounds-seed", "cj-params-seed", "contradiction-seed", "export-poly-format"])
+], ids=["bounds-seed", "cj-params-seed", "contradiction-seed", "verify-seed",
+        "export-poly-seed", "export-poly-format"])
 def test_flags_a_subcommand_would_ignore_are_rejected(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)

@@ -18,7 +18,6 @@ from align_lab.counting import (
     improper_by_threshold,
     is_proper,
     min_improper_n,
-    sparse_dim_deficit,
     symmetric_bound,
     tdma_baseline,
     variable_count,
@@ -165,15 +164,6 @@ def test_improper_configuration_counts_at_the_flip():
 ])
 def test_dim_channel_space(cfg, dim):
     assert dim_channel_space(cfg) == dim
-
-
-@pytest.mark.parametrize("cfg,deficit", [
-    (diagonal_config(3, 3, (2, 1, 1)), -8),
-    (diagonal_config(4, 4, 2), 0),
-    (generic_config(3, 2, 1), -18),
-])
-def test_sparse_dim_deficit(cfg, deficit):
-    assert sparse_dim_deficit(cfg) == deficit
 
 
 def test_bound_sweep_rows_cover_the_grid():

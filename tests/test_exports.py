@@ -54,13 +54,18 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+# read by tests alone: the rank reference that the probe's and cj3's
+# stacked-rank results are compared against
+TEST_ONLY = {("subspaces.py", "numerical_rank")}
+
+
 def test_every_definition_is_read():
     # a module-level function or class that no module of the package reads
-    # by name, attribute, import or ``__all__`` is dead code
+    # by name, attribute or import is dead code; an ``__all__`` entry is not
+    # a read, so public API must be imported by ``align_lab/__init__.py``
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     read = set()
     for tree in trees.values():
-        read.update(_all_entries(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -71,7 +76,7 @@ def test_every_definition_is_read():
     dead = [f"{name}: {node.name} (line {node.lineno})"
             for name, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in read]
+            and node.name not in read and (name, node.name) not in TEST_ONLY]
     assert not dead, f"definitions nothing reads: {dead}"
 
 

@@ -487,6 +487,32 @@ def test_dense_view_is_built_on_access():
         ch.free = ()
 
 
+def test_dense_row_slices_like_a_tuple():
+    row = sample_channels(diagonal_config(3, 4, 1)).matrices[0]
+    dense = (row[0], row[1], row[2])
+    for s in (slice(0, 2), slice(None, None, -1), slice(-2, None), slice(5, 9)):
+        got = row[s]
+        assert isinstance(got, tuple) and len(got) == len(dense[s]), s
+        assert all(np.array_equal(a, b) for a, b in zip(got, dense[s])), s
+    assert np.array_equal(row[-1], dense[2]) and np.array_equal(row[-3], dense[0])
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            row[k]
+
+
+@pytest.mark.parametrize("cfg", [generic_config(3, 4, 1), diagonal_config(3, 4, 1),
+                                 block_diagonal_config(3, 2, 2, 1)],
+                         ids=["generic", "diagonal", "block-diagonal"])
+@pytest.mark.parametrize("shape", [(4,), (3, 1), (5, 1), (4, 1, 1)],
+                         ids=["1-D", "N_k-1-rows", "N_k+1-rows", "3-D"])
+def test_apply_rejects_an_input_that_is_not_n_k_rows(cfg, shape):
+    # unchecked, a 1-D input broadcasts into a wrong (4, 4) answer on the
+    # diagonal layout and fails inside numpy on the others
+    with pytest.raises(DimensionMismatch) as exc:
+        sample_channels(cfg).apply(0, 1, np.ones(shape))
+    assert str(exc.value) == f"H[0][1] @ x needs an N_k x c array with N_k=4, got shape {shape}"
+
+
 @pytest.mark.parametrize("cfg", SHAPES[1:])
 def test_from_dense_round_trips_the_free_entries(cfg):
     ch = sample_channels(replace(cfg, seed=3))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from align_lab import probe
 from align_lab.cli import _json_text, main
-from align_lab.counting import dim_channel_space, equation_count, sparse_dim_deficit
+from align_lab.counting import dim_channel_space, equation_count
 from align_lab.model import (
     ChannelSet,
     IaSolution,
@@ -105,7 +105,6 @@ def test_generic_fill_example():
     assert rep.dim_target == 24
     assert rep.span_rank == 24
     assert rep.filled
-    assert rep.sd_upper_bound == 23
     assert rep.draws == 4
     assert rep.nontrivial_draws == 4
     # generic draws are full rank: nullity is dim minus equation count
@@ -122,7 +121,7 @@ def test_single_slot_diagonal_probe_finds_nothing():
 
 def test_positive_deficit_forces_trivial_nullspaces():
     cfg = diagonal_config(3, 3, 2, seed=0)
-    assert sparse_dim_deficit(cfg) > 0
+    assert equation_count(cfg.d) > dim_channel_space(cfg)
     rep = run_probe(cfg, draws=10, seed=0)
     assert rep.span_rank == 0
     assert all(nu == 0 for nu in rep.per_draw_nullity)
@@ -171,7 +170,6 @@ def test_report_serialization_fields(tmp_path):
     doc = probe_json(tmp_path, cfg, draws=2, seed=1)
     assert doc["draws"] == 2
     assert doc["dim_target"] == 24
-    assert doc["sd_upper_bound"] == 23
     assert isinstance(doc["per_draw_nullity"], list)
     assert doc["filled"] == (doc["span_rank"] == doc["dim_target"])
 
@@ -179,13 +177,13 @@ def test_report_serialization_fields(tmp_path):
 @pytest.mark.parametrize("cfg,draws,seed,expected", [
     (block_diagonal_config(3, 2, 4, 2), 4, 3,
      {"draws": 4, "nontrivial_draws": 4, "per_draw_nullity": [72, 72, 72, 72],
-      "span_rank": 96, "dim_target": 96, "sd_upper_bound": 95, "filled": True}),
+      "span_rank": 96, "dim_target": 96, "filled": True}),
     (generic_config(4, 5, 2), 2, 1,
      {"draws": 2, "nontrivial_draws": 2, "per_draw_nullity": [252, 252],
-      "span_rank": 300, "dim_target": 300, "sd_upper_bound": 299, "filled": True}),
+      "span_rank": 300, "dim_target": 300, "filled": True}),
     (diagonal_config(3, 7, (4, 3, 3)), 4, 5,
      {"draws": 4, "nontrivial_draws": 0, "per_draw_nullity": [0, 0, 0, 0],
-      "span_rank": 0, "dim_target": 42, "sd_upper_bound": 41, "filled": False}),
+      "span_rank": 0, "dim_target": 42, "filled": False}),
 ])
 def test_probe_reports_are_pinned(tmp_path, cfg, draws, seed, expected):
     """Reports recorded with the dense-P probe; the per-pair probe must match."""
@@ -228,7 +226,6 @@ def _loop_reports(cfg, counts, seed):
                                        per_draw_nullity=tuple(nullities),
                                        span_rank=span_rank,
                                        dim_target=dim_target,
-                                       sd_upper_bound=dim_target - 1,
                                        filled=span_rank == dim_target))
     return reports
 
