@@ -10,7 +10,7 @@ from .counting import (CjParameters, PropernessReport, cj_parameters, equation_c
                        symmetric_bound, tdma_baseline, variable_count)
 from .cj3 import Cj3Instance, build_instance, construct
 from .errors import (AlignLabError, DegenerateSpan, DimensionMismatch, InvalidSpec,
-                     RankDeficient, SingularChannel, StreamOverflow)
+                     NumericOverflow, RankDeficient, SingularChannel, StreamOverflow)
 from .model import (ChannelSet, ChannelStructure, IaSolution, StructureKind,
                     SystemConfig, block_diagonal_config, diagonal_config,
                     generic_config, sample_channels)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignLabError", "ChannelSet", "ChannelStructure", "Cj3Instance",
     "CjParameters", "Classification", "DegenerateSpan", "DimensionMismatch",
-    "FeasibilityVerdict", "IaSolution", "InvalidSpec", "ProbeReport",
+    "FeasibilityVerdict", "IaSolution", "InvalidSpec", "NumericOverflow", "ProbeReport",
     "PropernessReport", "RankDeficient", "SingularChannel",
     "SolverOptions", "StreamOverflow", "StructureKind", "SystemConfig",
     "VerificationResult", "block_diagonal_config",

@@ -24,8 +24,8 @@ import numpy as np
 from . import cj3 as cj3_mod
 from .counting import (cj_config, cj_parameters, is_proper, min_improper_n,
                        symmetric_bound, tdma_baseline)
-from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, RankDeficient,
-                     SingularChannel, StreamOverflow)
+from .errors import (DegenerateSpan, DimensionMismatch, InvalidSpec, NumericOverflow,
+                     RankDeficient, SingularChannel, StreamOverflow)
 from .model import (ChannelSet, IaSolution, SystemConfig, config_from_json,
                     config_to_json, cross_pairs, pair_support, sample_channels)
 from .probe import run_probe
@@ -174,13 +174,12 @@ def cmd_probe(args: argparse.Namespace):
 def cmd_solve(args: argparse.Namespace):
     cfg = config_from_json(_load_json(args.config))
     opts = SolverOptions(max_iters=args.max_iters, tol_align=args.tol,
-                         restarts=args.restarts, trials=args.trials, seed=args.seed)
+                         trials=args.trials, seed=args.seed)
     verdict = classify(cfg, opts)
     digest = _config_digest(cfg)
     # a singular direct product gives an infinite ratio, which JSON cannot hold
-    runs = [{"config": digest, "trial": r.trial, "restart": r.restart,
-             "iters": r.iters, "stop_reason": r.stop_reason,
-             "final_leakage": r.final_leakage,
+    runs = [{"config": digest, "trial": r.trial, "iters": r.iters,
+             "stop_reason": r.stop_reason, "final_leakage": r.final_leakage,
              "max_interference_to_signal": (r.max_interference_to_signal
                                             if np.isfinite(r.max_interference_to_signal)
                                             else None),
@@ -197,9 +196,8 @@ def cmd_solve(args: argparse.Namespace):
         "witness_status": verdict.witness_status,
         "evidence": dataclasses.asdict(verdict.evidence),
         "runs": runs,
-        "options": {"trials": opts.trials, "restarts": opts.restarts,
-                    "max_iters": opts.max_iters, "tol_align": opts.tol_align,
-                    "seed": opts.seed},
+        "options": {"trials": opts.trials, "max_iters": opts.max_iters,
+                    "tol_align": opts.tol_align, "seed": opts.seed},
     }
     return payload, runs, None
 
@@ -406,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     opts = SolverOptions()
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
     sp.add_argument("--trials", type=int, default=opts.trials, help="channel draws")
-    sp.add_argument("--restarts", type=int, default=opts.restarts,
-                    help="restarts per draw")
     sp.add_argument("--max-iters", type=int, default=opts.max_iters, dest="max_iters",
                     help="iteration cap per run")
     sp.add_argument("--tol", type=float, default=opts.tol_align, help="leakage tolerance")
@@ -451,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args, *args.run(args))
-    except (SingularChannel, DegenerateSpan, RankDeficient,
+    except (SingularChannel, DegenerateSpan, RankDeficient, NumericOverflow,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -25,5 +25,9 @@ class DegenerateSpan(AlignLabError):
     """Interference subspaces are degenerate (non-generic channels)."""
 
 
+class NumericOverflow(AlignLabError):
+    """A figure that ``check`` reports exceeds the float64 range."""
+
+
 class InvalidSpec(AlignLabError):
     """A CLI experiment specification is malformed."""

@@ -28,7 +28,7 @@ propose only when their cross equations do not outnumber the unknowns, the
 count under which the step can zero every cross product, and their system fits
 ``_BATCH_BYTES``; other runs only sweep. A run that stops drops out of the
 stacks; the others iterate on exactly as they would alone. The classifier
-solves all its channel draws and restarts together, then buckets the outcome;
+solves all its channel draws together, one run each, then buckets the outcome;
 absence of success is weak evidence (local minima exist), so the thresholds
 are deliberately asymmetric and a known explicit witness overrides solver
 failure.
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 _TRIAL_SALT = 65537    # derives per-trial channel seeds
-_RESTART_SALT = 9973   # derives per-(trial, restart) init streams
+_START_SALT = 9973     # keys (salt, trial, 0); the 0 keeps every seeded run's start stream
 _SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)   # line-search step scales, full step first
 
 
@@ -74,12 +74,11 @@ class Classification(enum.Enum):
 class SolverOptions:
     max_iters: int = 1000
     tol_align: float = TOL_ALIGN
-    restarts: int = 1
     trials: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_iters", "restarts", "trials"):
+        for name in ("max_iters", "trials"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "tol_align", _check_tolerance(self.tol_align))
         object.__setattr__(self, "seed", _seed(self.seed))
@@ -87,7 +86,7 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One (channel draw, restart) solver run.
+    """One solver run: one channel draw, one start.
 
     ``stop_reason`` says why the run ended: ``zero`` (exact zero leakage),
     ``plateau`` or ``max_iters``. ``max_interference_to_signal`` is the
@@ -95,7 +94,6 @@ class RunRecord:
     """
 
     trial: int
-    restart: int
     iters: int
     stop_reason: str
     final_leakage: float
@@ -448,28 +446,26 @@ def _run_bytes(cfg: SystemConfig) -> int:
 
 
 def run_trials(cfg: SystemConfig, opts: SolverOptions) -> list[RunRecord]:
-    """Solve trials x restarts independent runs; order-independent streams.
+    """Solve ``opts.trials`` runs, one per channel draw; order-independent streams.
 
     The runs are solved together by ``_minimize_runs``, in batches whose
     solver stacks stay under ``_BATCH_BYTES``; a run too large for that is
     solved alone.
     """
-    keys = [(t, s) for t in range(opts.trials) for s in range(opts.restarts)]
     size = max(1, _BATCH_BYTES // _run_bytes(cfg))
     records = []
-    for start in range(0, len(keys), size):
-        batch = keys[start:start + size]
-        chs = {t: sample_channels(replace(cfg, seed=_trial_channel_seed(cfg, opts, t)))
-               for t in {t for t, _ in batch}}
-        runs = _minimize_runs([chs[t] for t, _ in batch], cfg.d, opts,
-                              [substream(opts.seed, _RESTART_SALT, t, s) for t, s in batch])
-        for (trial, restart), (sol, traj, reason) in zip(batch, runs):
-            res = check(chs[trial], sol, tol_align=opts.tol_align)
-            records.append(RunRecord(trial=trial, restart=restart, iters=len(traj) - 1,
-                                     stop_reason=reason, final_leakage=res.leakage,
+    for start in range(0, opts.trials, size):
+        batch = range(start, min(start + size, opts.trials))
+        chs = [sample_channels(replace(cfg, seed=_trial_channel_seed(cfg, opts, t)))
+               for t in batch]
+        runs = _minimize_runs(chs, cfg.d, opts,
+                              [substream(opts.seed, _START_SALT, t, 0) for t in batch])
+        for trial, ch, (sol, traj, reason) in zip(batch, chs, runs):
+            res = check(ch, sol, tol_align=opts.tol_align)
+            records.append(RunRecord(trial=trial, iters=len(traj) - 1, stop_reason=reason,
+                                     final_leakage=res.leakage, aligned=res.aligned,
                                      max_interference_to_signal=max(res.interference_to_signal),
-                                     aligned=res.aligned, rank_ok=res.rank_ok,
-                                     success=res.aligned and res.rank_ok,
+                                     rank_ok=res.rank_ok, success=res.aligned and res.rank_ok,
                                      trajectory=tuple(traj), solution=sol))
     return records
 

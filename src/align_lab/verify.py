@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, NumericOverflow, RankDeficient
 from .model import ChannelSet, IaSolution, cross_pairs
 from .subspaces import _rank_from_singular_values, orthonormal_columns
 
@@ -109,7 +109,8 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     subspaces, zero exactly when every cross product vanishes. Raises
     RankDeficient when a precoder or decoder does not span a d_k-dimensional
     subspace, since the metric is then not about the intended subspace at all.
-    Raises ValueError unless ``tol_align`` is finite and positive.
+    Raises NumericOverflow when the leakage or a signal power exceeds float64,
+    and ValueError unless ``tol_align`` is finite and positive.
     """
     tol_align = _check_tolerance(tol_align)
     _check_dims(ch, sol)
@@ -119,6 +120,8 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     for j, k in cross_pairs(ch.K):
         pair_leak, crosses = _cross_leakage(us[j], ch.apply(j, k, vs[k]))
         leak += pair_leak
+        if not np.isfinite(leak):   # before abs, which would overflow with a warning
+            raise NumericOverflow(f"leakage overflows float64 at receiver {j}")
         interference[j] += pair_leak
         worst = max(worst, float(np.abs(crosses).max()))
     ranks, ratios = [], []
@@ -126,7 +129,9 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
         direct = us[k].conj().T @ ch.apply(k, k, vs[k])
         s = np.linalg.svd(direct, compute_uv=False)
         ranks.append(_rank_from_singular_values(direct.shape, s))
-        signal = float(s[-1]) ** 2
+        signal = float(s[-1]) * float(s[-1])    # ** raises OverflowError
+        if not np.isfinite(signal):
+            raise NumericOverflow(f"signal power of user {k} overflows float64")
         ratios.append(interference[k] / signal if signal > 0 else float("inf"))
     rank_ok = all(r == d for r, d in zip(ranks, sol.d))
     return VerificationResult(leakage=leak, max_cross_residual=worst,

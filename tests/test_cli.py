@@ -170,7 +170,7 @@ def test_solve_json_and_csv(tmp_path):
     with csv_path.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
-    assert {"config", "trial", "restart", "iters", "stop_reason",
+    assert {"config", "trial", "iters", "stop_reason",
             "final_leakage", "rank_ok"} <= set(rows[0])
     assert all(float(r["final_leakage"]) < 1e-8 for r in rows)
 
@@ -523,7 +523,7 @@ def test_seeds_beyond_64_bits_are_accepted(tmp_path):
     ("cj3", "n,N_s,seed,leakage,max_cross_residual,direct_ranks,aligned,rank_ok,"
             "d_bar,d_bar_value,exceeds_tdma"),
     ("probe", "draw,nullity"),
-    ("solve", "config,trial,restart,iters,stop_reason,final_leakage,"
+    ("solve", "config,trial,iters,stop_reason,final_leakage,"
               "max_interference_to_signal,rank_ok"),
     ("verify", "leakage,max_cross_residual,direct_ranks,aligned,rank_ok"),
 ])
@@ -578,6 +578,26 @@ def test_non_finite_solution_entries_exit_2(tmp_path, capsys, matrix, value):
 def test_exit_code_for_missing_file(tmp_path):
     assert main(["probe", "--config", str(tmp_path / "nope.json"),
                  "--draws", "1", "--out", str(tmp_path / "o.json")]) == 1
+
+
+@pytest.mark.parametrize("direct", ["huge", "identity"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overflowing_leakage_exits_3(tmp_path, capsys, direct, fmt):
+    # V = U = e_1 on K=2, N=2, d=1; cross channels [[1e200, 1e200], [1e200, -1e200]]
+    # square past float64, so no leakage can be reported, Infinity least of all
+    huge = [[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    own = huge if direct == "huge" else eye
+    ch_path, sol_path = tmp_path / "ch.json", tmp_path / "sol.json"
+    ch_path.write_text(json.dumps([[own, huge], [huge, own]]))
+    e1 = [[[1.0, 0.0]], [[0.0, 0.0]]]
+    sol_path.write_text(json.dumps({"V": [e1, e1], "U": [e1, e1]}))
+    out = tmp_path / f"out.{fmt}"
+    assert main(["verify", "--config", write_config(tmp_path, generic_config(2, 2, 1)),
+                 "--channels", str(ch_path), "--solution", str(sol_path),
+                 "--format", fmt, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: leakage overflows float64 at receiver 0\n"
+    assert not out.exists()
 
 
 def test_exit_code_for_numerical_failure(tmp_path):
@@ -665,8 +685,8 @@ def test_probe_reproducible_and_seed_sensitive(tmp_path, monkeypatch):
 def test_solve_flags_default_to_solver_options():
     args = build_parser().parse_args(["solve", "--config", "x"])
     opts = SolverOptions()
-    flags = (args.max_iters, args.tol, args.restarts, args.trials, args.seed)
-    fields = (opts.max_iters, opts.tol_align, opts.restarts, opts.trials, opts.seed)
+    flags = (args.max_iters, args.tol, args.trials, args.seed)
+    fields = (opts.max_iters, opts.tol_align, opts.trials, opts.seed)
     assert [(type(x), x) for x in flags] == [(type(x), x) for x in fields]
 
 
@@ -701,8 +721,9 @@ def test_seed_meaning_per_subcommand(tmp_path):
     ["verify", "--config", "cfg.json", "--solution", "sol.json", "--seed", "9"],
     ["export-poly", "--config", "cfg.json", "--seed", "9"],
     ["export-poly", "--config", "cfg.json", "--format", "csv"],
+    ["solve", "--config", "cfg.json", "--restarts", "2"],
 ], ids=["bounds-seed", "cj-params-seed", "contradiction-seed", "verify-seed",
-        "export-poly-seed", "export-poly-format"])
+        "export-poly-seed", "export-poly-format", "solve-restarts"])
 def test_flags_a_subcommand_would_ignore_are_rejected(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)

@@ -168,7 +168,6 @@ COUNTS = [
     pytest.param("K", 3, lambda x: improper_by_threshold(x, 5), id="improper_by_threshold-K"),
     pytest.param("n", 1, lambda x: improper_by_threshold(4, x), id="improper_by_threshold-n"),
     pytest.param("max_iters", 1, lambda x: SolverOptions(max_iters=x), id="max_iters"),
-    pytest.param("restarts", 1, lambda x: SolverOptions(restarts=x), id="restarts"),
     pytest.param("trials", 1, lambda x: SolverOptions(trials=x), id="trials"),
     pytest.param("draws", 1, _probe_draws, id="run_probe"),
 ]

@@ -1,5 +1,6 @@
 """Alternating leakage minimization and Monte Carlo feasibility verdicts."""
 
+import copy
 import json
 import warnings
 from dataclasses import replace
@@ -25,7 +26,7 @@ from align_lab.model import (
     substream,
 )
 from align_lab.solve import (
-    _RESTART_SALT,
+    _START_SALT,
     Classification,
     Evidence,
     SolverOptions,
@@ -43,7 +44,7 @@ def solve_json(tmp_path, cfg, opts):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "solve.json"
     cfg_path.write_text(json.dumps(config_to_json(cfg)))
     assert main(["solve", "--config", str(cfg_path), "--trials", str(opts.trials),
-                 "--restarts", str(opts.restarts), "--max-iters", str(opts.max_iters),
+                 "--max-iters", str(opts.max_iters),
                  "--tol", repr(opts.tol_align), "--seed", str(opts.seed),
                  "--out", str(out)]) == 0
     return json.loads(out.read_text())
@@ -473,8 +474,6 @@ def test_options_validation():
     with pytest.raises(ValueError, match="tol_align must be finite and positive, got inf"):
         SolverOptions(tol_align=float("inf"))
     with pytest.raises(ValueError):
-        SolverOptions(restarts=0)
-    with pytest.raises(ValueError):
         SolverOptions(trials=-1)
     with pytest.raises(InvalidSpec, match="seed must be non-negative, got -1"):
         SolverOptions(seed=-1)
@@ -487,14 +486,14 @@ def test_options_validation():
     (generic_config(3, (2, 3, 4), (1, 3, 2), seed=1), False),   # two eigh groups, N_0 < d_max
 ], ids=["generic-3-2-1", "diagonal-7-433", "generic-234-132"])
 def test_run_trials_matches_each_run_solved_alone(cfg, staggered):
-    opts = SolverOptions(max_iters=300, trials=3, restarts=2, seed=4)
+    opts = SolverOptions(max_iters=300, trials=6, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = run_trials(cfg, opts)
         for rec in records:
             ch = sample_channels(replace(cfg, seed=_trial_channel_seed(cfg, opts, rec.trial)))
             sol, traj, _ = _minimize_runs([ch], cfg.d, opts, [substream(
-                opts.seed, _RESTART_SALT, rec.trial, rec.restart)])[0]
+                opts.seed, _START_SALT, rec.trial, 0)])[0]
             assert rec.iters == len(traj) - 1
             assert rec.stop_reason == _stop_reason(traj, opts)
             assert rec.trajectory == tuple(traj)
@@ -506,13 +505,13 @@ def test_run_trials_matches_each_run_solved_alone(cfg, staggered):
 
 def test_run_trials_batches_split_without_changing_records(monkeypatch):
     cfg = generic_config(3, 2, 1, seed=1)
-    opts = SolverOptions(max_iters=200, trials=3, restarts=2, seed=4)
+    opts = SolverOptions(max_iters=200, trials=5, seed=4)
     whole = run_trials(cfg, opts)
-    # three runs per batch: trial 1's restarts fall into different batches
+    # three runs per batch: trials 0-2 in one batch, trials 3-4 in the next
     monkeypatch.setattr(solve, "_BATCH_BYTES", 3 * solve._run_bytes(cfg))
     for a, b in zip(whole, run_trials(cfg, opts), strict=True):
-        assert (a.trial, a.restart, a.iters, a.stop_reason, a.trajectory) == \
-            (b.trial, b.restart, b.iters, b.stop_reason, b.trajectory)
+        assert (a.trial, a.iters, a.stop_reason, a.trajectory) == \
+            (b.trial, b.iters, b.stop_reason, b.trajectory)
         assert a.solution.V[0].tobytes() == b.solution.V[0].tobytes()
 
 
@@ -541,11 +540,10 @@ def test_overloaded_run_plateaus_above_tolerance():
 
 def test_run_trials_record_grid():
     cfg = generic_config(3, 2, 1, seed=2)
-    opts = SolverOptions(max_iters=300, trials=3, restarts=2, seed=5)
+    opts = SolverOptions(max_iters=300, trials=6, seed=5)
     records = run_trials(cfg, opts)
     assert len(records) == 6
-    assert {(r.trial, r.restart) for r in records} == \
-        {(t, s) for t in range(3) for s in range(2)}
+    assert [r.trial for r in records] == list(range(6))
     for r in records:
         assert r.iters <= 300
         assert r.success == (r.aligned and r.rank_ok)
@@ -553,6 +551,32 @@ def test_run_trials_record_grid():
         # so it matches the last trajectory point only to rounding
         assert r.trajectory[-1] == pytest.approx(r.final_leakage,
                                                  rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed, channel_seeds, starts", [
+    (5, [10942835912910394806, 16075876241516178264, 10994723267955887488],
+     ["0x1.e01cbed9dd3b3p+0", "0x1.14cebd564f557p-1", "0x1.20210bc78992dp+0"]),
+    # SeedSequence pads a key to four 32-bit words with zeros, so only a key
+    # longer than that, as with a two-word seed, shows the start stream's
+    # trailing 0
+    (2 ** 32, [6245216007075410194, 452284208873464198, 10993688548852777154],
+     ["-0x1.dbd57bcaa5393p-1", "-0x1.995761d3a213ap-2", "-0x1.e1d8e8470dbc2p+0"]),
+], ids=["one-word-seed", "two-word-seed"])
+def test_seed_streams_are_pinned(monkeypatch, seed, channel_seeds, starts):
+    # a changed stream key moves these values even where iters and
+    # stop_reason stay put; Philox output does not depend on the BLAS
+    cfg = generic_config(3, 2, 1, seed=2)
+    opts = SolverOptions(trials=3, seed=seed)
+    assert [_trial_channel_seed(cfg, opts, t) for t in range(3)] == channel_seeds
+    firsts = []
+
+    def recording(chs, d, opts, rngs):
+        firsts.extend(copy.deepcopy(rng).standard_normal().hex() for rng in rngs)
+        return _minimize_runs(chs, d, opts, rngs)
+
+    monkeypatch.setattr(solve, "_minimize_runs", recording)
+    run_trials(cfg, opts)
+    assert firsts == starts
 
 
 def test_feasible_config_is_recognized():
@@ -739,7 +763,7 @@ def test_run_record_rows_are_flat_and_typed(tmp_path):
     rows = solve_json(tmp_path, cfg, SolverOptions(max_iters=200, trials=2, seed=0))["runs"]
     assert len(rows) == 2
     for row in rows:
-        assert set(row) == {"config", "trial", "restart", "iters", "stop_reason",
+        assert set(row) == {"config", "trial", "iters", "stop_reason",
                             "final_leakage", "max_interference_to_signal", "rank_ok"}
         assert row["stop_reason"] in {"zero", "plateau", "max_iters"}
         assert row["config"] == _config_digest(cfg)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from align_lab.cj3 import build_instance
 from align_lab.cli import _verification_json
-from align_lab.errors import DimensionMismatch, RankDeficient
+from align_lab.errors import DimensionMismatch, NumericOverflow, RankDeficient
 from align_lab.model import (
     ChannelSet,
     IaSolution,
@@ -104,6 +104,24 @@ def test_lost_direct_link_has_infinite_interference_to_signal():
     res = check(ChannelSet.from_dense(generic_config(2, 2, 1), dense), sol)
     assert res.aligned and not res.rank_ok
     assert res.interference_to_signal == (float("inf"), 0.0)
+
+
+HUGE = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+
+
+@pytest.mark.parametrize("direct, cross, message", [
+    (HUGE, HUGE, "leakage overflows float64 at receiver 0"),
+    (np.eye(2), HUGE, "leakage overflows float64 at receiver 0"),
+    (HUGE, np.zeros((2, 2)), "signal power of user 0 overflows float64"),
+], ids=["all-huge", "huge-cross", "huge-direct"])
+def test_overflowing_figures_raise(direct, cross, message):
+    # entries of 1e200 square past float64 in the leakage or in sigma_min^2;
+    # warnings are errors here, so no RuntimeWarning passes either
+    _, sol = identity_case()
+    dense = [[direct if j == k else cross for k in range(2)] for j in range(2)]
+    with pytest.raises(NumericOverflow) as exc:
+        check(ChannelSet.from_dense(generic_config(2, 2, 1), dense), sol)
+    assert str(exc.value) == message
 
 
 def test_random_pair_leaks():
