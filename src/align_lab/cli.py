@@ -1,19 +1,17 @@
 """Command-line front end: experiments in, machine-readable reports out.
 
 Every subcommand is deterministic given its flags (seeds included), writes
-JSON or CSV to --out or stdout, and exits 0 on success, 2 on an invalid
-experiment spec, 3 on a numerical failure, 1 on an I/O failure. JSON outputs
-follow the schemas shipped in ``align_lab/schemas/``.
+one report to --out or stdout, and exits 0 on success, 2 on an invalid
+experiment spec, 3 on a numerical failure, 1 on an I/O failure. ``export-poly``
+writes plain text; every other report is JSON that follows its schema in
+``align_lab/schemas/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import hashlib
-import io
 import json
 import sys
 from fractions import Fraction
@@ -64,9 +62,8 @@ def _load_channels(args: argparse.Namespace, cfg: SystemConfig) -> ChannelSet:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each reads the parsed arguments and returns
-# (json payload, csv rows, raw text); each builds its own report, and no
-# other module writes one
+# subcommand bodies: each reads the parsed arguments and returns its report,
+# a JSON payload or, for export-poly, text; no other module builds one
 
 def _frac(x: Fraction) -> tuple[str, float]:
     return str(x), float(x)
@@ -83,24 +80,20 @@ def cmd_bounds(args: argparse.Namespace):
             exact, value = _frac(bound)
             rows.append({"K": K, "param": param, "exact": exact, "value": value,
                          "source": source})
-    return {"rows": rows}, rows, None
+    return {"rows": rows}
 
 
 def cmd_cj_params(args: argparse.Namespace):
-    payload_rows, csv_rows = [], []
+    rows = []
     Ks, ns = parse_range(args.K), parse_range(args.n)
     for K in Ks:
         for n in ns:
             p = cj_parameters(K, n)
             exact, value = _frac(p.d_bar)
-            payload_rows.append({"K": p.K, "n": p.n, "N_exp": p.N_exp, "N_s": p.N_s,
-                                 "d": list(p.d), "d_total": p.d_total,
-                                 "d_bar": exact, "d_bar_value": value})
-            csv_rows.append({"K": p.K, "n": p.n, "N_exp": p.N_exp, "N_s": p.N_s,
-                             "d_first": p.d[0], "d_other": p.d[1],
-                             "d_total": p.d_total, "d_bar": exact,
-                             "d_bar_value": value})
-    return {"rows": payload_rows}, csv_rows, None
+            rows.append({"K": p.K, "n": p.n, "N_exp": p.N_exp, "N_s": p.N_s,
+                         "d": list(p.d), "d_total": p.d_total,
+                         "d_bar": exact, "d_bar_value": value})
+    return {"rows": rows}
 
 
 def cmd_contradiction(args: argparse.Namespace):
@@ -119,14 +112,7 @@ def cmd_contradiction(args: argparse.Namespace):
             row.update({"N_s": p.N_s, "d_first": p.d[0], "d_other": p.d[1],
                         "N_e": report.N_e, "N_v": report.N_v})
         rows.append(row)
-    return {"n_max": args.n_max, "rows": rows}, rows, None
-
-
-def _verification_row(res: VerificationResult) -> dict:
-    """The flat CSV fields of a check, shared by ``cj3`` and ``verify``."""
-    return {"leakage": res.leakage, "max_cross_residual": res.max_cross_residual,
-            "direct_ranks": ";".join(str(r) for r in res.direct_ranks),
-            "aligned": res.aligned, "rank_ok": res.rank_ok}
+    return {"n_max": args.n_max, "rows": rows}
 
 
 def _verification_json(res: VerificationResult) -> dict:
@@ -135,40 +121,27 @@ def _verification_json(res: VerificationResult) -> dict:
             "rank_ok": res.rank_ok, "tolerances": {"tol_align": res.tol_align}}
 
 
-def _config_digest(cfg: SystemConfig) -> str:
-    """Short stable hash identifying a configuration in tabular output."""
-    blob = json.dumps(config_to_json(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 def cmd_cj3(args: argparse.Namespace):
     p = cj_parameters(3, args.n)
     inst = cj3_mod.build_instance(args.n, seed=args.seed)
     res = check(inst.channels, inst.solution, tol_align=args.tol)
     exact, value = _frac(p.d_bar)
-    exceeds_tdma = p.d_bar > tdma_baseline(3)
-    payload = {
+    return {
         "n": p.n, "N_s": p.N_s, "seed": args.seed, "d": list(p.d),
-        "d_bar": exact, "d_bar_value": value, "exceeds_tdma": exceeds_tdma,
+        "d_bar": exact, "d_bar_value": value, "exceeds_tdma": p.d_bar > tdma_baseline(3),
         "verification": _verification_json(res),
         "config": config_to_json(cj_config(3, args.n, seed=args.seed)),
         "channels": [list(row) for row in inst.channels.matrices],
         "solution": {"V": inst.solution.V, "U": inst.solution.U},
     }
-    row = {"n": p.n, "N_s": p.N_s, "seed": args.seed, **_verification_row(res),
-           "d_bar": exact, "d_bar_value": value, "exceeds_tdma": exceeds_tdma}
-    return payload, [row], None
 
 
 def cmd_probe(args: argparse.Namespace):
     # --seed steers the draws, not the channels: the config keeps its seed
     cfg = config_from_json(_load_json(args.config))
     report = run_probe(cfg, args.draws, seed=args.seed)
-    payload = {"config": config_to_json(cfg), "draws_seed": args.seed,
-               **dataclasses.asdict(report)}
-    rows = [{"draw": i, "nullity": x}
-            for i, x in enumerate(report.per_draw_nullity)]
-    return payload, rows, None
+    return {"config": config_to_json(cfg), "draws_seed": args.seed,
+            **dataclasses.asdict(report)}
 
 
 def cmd_solve(args: argparse.Namespace):
@@ -176,17 +149,16 @@ def cmd_solve(args: argparse.Namespace):
     opts = SolverOptions(max_iters=args.max_iters, tol_align=args.tol,
                          trials=args.trials, seed=args.seed)
     verdict = classify(cfg, opts)
-    digest = _config_digest(cfg)
     # a singular direct product gives an infinite ratio, which JSON cannot hold
-    runs = [{"config": digest, "trial": r.trial, "iters": r.iters,
-             "stop_reason": r.stop_reason, "final_leakage": r.final_leakage,
+    runs = [{"trial": r.trial, "iters": r.iters, "stop_reason": r.stop_reason,
+             "final_leakage": r.final_leakage,
              "max_interference_to_signal": (r.max_interference_to_signal
                                             if np.isfinite(r.max_interference_to_signal)
                                             else None),
              "rank_ok": r.rank_ok}
             for r in verdict.records]
     median, p90 = verdict.leakage_quantiles
-    payload = {
+    return {
         "config": config_to_json(cfg),
         "success_rate": verdict.success_rate,
         "best_leakage": verdict.best_leakage,
@@ -199,7 +171,6 @@ def cmd_solve(args: argparse.Namespace):
         "options": {"trials": opts.trials, "max_iters": opts.max_iters,
                     "tol_align": opts.tol_align, "seed": opts.seed},
     }
-    return payload, runs, None
 
 
 def cmd_verify(args: argparse.Namespace):
@@ -212,19 +183,18 @@ def cmd_verify(args: argparse.Namespace):
             raise DimensionMismatch(f"user {k}: the solution has {got} streams, "
                                     f"the config names d_k={want}")
     res = check(ch, sol, tol_align=args.tol)
-    payload = {"config": config_to_json(cfg), "result": _verification_json(res)}
-    return payload, [_verification_row(res)], None
+    return {"config": config_to_json(cfg), "result": _verification_json(res)}
 
 
 def cmd_export_poly(args: argparse.Namespace):
     cfg = config_from_json(_load_json(args.config))
-    return None, None, polynomial_system_text(cfg, _load_channels(args, cfg))
+    return polynomial_system_text(cfg, _load_channels(args, cfg))
 
 
 # ---------------------------------------------------------------------------
 # polynomial export
 
-def _fmt_coeff(z: complex) -> str:
+def _coeff_text(z: complex) -> str:
     return f"({float(z.real)!r},{float(z.imag)!r})"
 
 
@@ -256,7 +226,7 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
     for j, k in cross_pairs(cfg.K):
         rows, cols = pair_support(cfg, j, k)
         coeffs = ch.free[j][k]
-        text = [_fmt_coeff(z) for z in coeffs.tolist()]
+        text = [_coeff_text(z) for z in coeffs.tolist()]
         u_free, v_free = rows >= cfg.d[j], cols >= cfg.d[k]
         for m in range(cfg.d[j]):
             # a gauge row t < d_j is the identity: it enters equation m = t only
@@ -361,12 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for interference-alignment feasibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, run, seed_help=None, seed=None, formats=True):
-        """--out; --format unless the output is plain text; --seed if it is read."""
+    def common(sp, run, seed_help=None, seed=None):
+        """--out; --seed if it is read."""
         sp.add_argument("--out", type=Path, help="output file (default stdout)")
-        if formats:
-            sp.add_argument("--format", choices=["json", "csv"], default="json",
-                            dest="fmt", help="output format")
         if seed_help is not None:
             sp.add_argument("--seed", type=int, default=seed, help=seed_help)
         sp.set_defaults(run=run)
@@ -422,21 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", type=Path, required=True, help="config JSON path")
     sp.add_argument("--channels", type=Path, default=None,
                     help="channels JSON path (default: sample from config)")
-    common(sp, cmd_export_poly, formats=False)
+    common(sp, cmd_export_poly)
     return parser
 
 
-def _emit(args: argparse.Namespace, payload, rows, text) -> None:
-    if text is None:
-        if args.fmt == "json":
-            text = _json_text(payload) + "\n"
-        else:
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-            text = buf.getvalue()
+def _emit(args: argparse.Namespace, report) -> None:
+    """Write ``report`` to --out or stdout: text as it is, a payload as JSON."""
+    text = report if isinstance(report, str) else _json_text(report) + "\n"
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
     else:
@@ -446,7 +405,7 @@ def _emit(args: argparse.Namespace, payload, rows, text) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _emit(args, *args.run(args))
+        _emit(args, args.run(args))
     except (SingularChannel, DegenerateSpan, RankDeficient, NumericOverflow,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

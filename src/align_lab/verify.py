@@ -109,30 +109,36 @@ def check(ch: ChannelSet, sol: IaSolution, tol_align: float = TOL_ALIGN) -> Veri
     subspaces, zero exactly when every cross product vanishes. Raises
     RankDeficient when a precoder or decoder does not span a d_k-dimensional
     subspace, since the metric is then not about the intended subspace at all.
-    Raises NumericOverflow when the leakage or a signal power exceeds float64,
-    and ValueError unless ``tol_align`` is finite and positive.
+    Raises NumericOverflow when the leakage, a direct product or a signal
+    power exceeds float64, and ValueError unless ``tol_align`` is finite and
+    positive.
     """
     tol_align = _check_tolerance(tol_align)
     _check_dims(ch, sol)
     us, vs = _orthonormalized(sol)
     leak = worst = 0.0
     interference = [0.0] * ch.K
-    for j, k in cross_pairs(ch.K):
-        pair_leak, crosses = _cross_leakage(us[j], ch.apply(j, k, vs[k]))
-        leak += pair_leak
-        if not np.isfinite(leak):   # before abs, which would overflow with a warning
-            raise NumericOverflow(f"leakage overflows float64 at receiver {j}")
-        interference[j] += pair_leak
-        worst = max(worst, float(np.abs(crosses).max()))
-    ranks, ratios = [], []
-    for k in range(ch.K):
-        direct = us[k].conj().T @ ch.apply(k, k, vs[k])
-        s = np.linalg.svd(direct, compute_uv=False)
-        ranks.append(_rank_from_singular_values(direct.shape, s))
-        signal = float(s[-1]) * float(s[-1])    # ** raises OverflowError
-        if not np.isfinite(signal):
-            raise NumericOverflow(f"signal power of user {k} overflows float64")
-        ratios.append(interference[k] / signal if signal > 0 else float("inf"))
+    # finite inputs overflow only to inf, or to nan from inf - inf; each is
+    # tested before a figure is read from it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, k in cross_pairs(ch.K):
+            pair_leak, crosses = _cross_leakage(us[j], ch.apply(j, k, vs[k]))
+            leak += pair_leak
+            if not np.isfinite(leak):   # before abs, which would overflow
+                raise NumericOverflow(f"leakage overflows float64 at receiver {j}")
+            interference[j] += pair_leak
+            worst = max(worst, float(np.abs(crosses).max()))
+        ranks, ratios = [], []
+        for k in range(ch.K):
+            direct = us[k].conj().T @ ch.apply(k, k, vs[k])
+            if not np.isfinite(direct).all():   # before the SVD, which cannot converge
+                raise NumericOverflow(f"direct product of user {k} overflows float64")
+            s = np.linalg.svd(direct, compute_uv=False)
+            ranks.append(_rank_from_singular_values(direct.shape, s))
+            signal = float(s[-1]) * float(s[-1])    # ** raises OverflowError
+            if not np.isfinite(signal):
+                raise NumericOverflow(f"signal power of user {k} overflows float64")
+            ratios.append(interference[k] / signal if signal > 0 else float("inf"))
     rank_ok = all(r == d for r, d in zip(ranks, sol.d))
     return VerificationResult(leakage=leak, max_cross_residual=worst,
                               interference_to_signal=tuple(ratios), direct_ranks=tuple(ranks),

@@ -1,12 +1,12 @@
-"""Command-line interface: schemas, exit codes, formats, reproducibility."""
+"""Command-line interface: schemas, exit codes, reproducibility."""
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -156,23 +156,14 @@ def test_probe_fill_payload(tmp_path):
     assert doc["filled"] is True
 
 
-def test_solve_json_and_csv(tmp_path):
+def test_solve_json(tmp_path):
     cfg_path = write_config(tmp_path, generic_config(3, 2, 1, seed=1))
     doc = run_json(tmp_path, ["solve", "--config", cfg_path, "--trials", "3",
                               "--max-iters", "800"])
     jsonschema.validate(doc, schema("solve"))
     assert doc["classification"] == "LikelyFeasible"
-
-    csv_path = tmp_path / "runs.csv"
-    rc = main(["solve", "--config", cfg_path, "--trials", "3",
-               "--max-iters", "800", "--format", "csv", "--out", str(csv_path)])
-    assert rc == 0
-    with csv_path.open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert {"config", "trial", "iters", "stop_reason",
-            "final_leakage", "rank_ok"} <= set(rows[0])
-    assert all(float(r["final_leakage"]) < 1e-8 for r in rows)
+    assert len(doc["runs"]) == 3
+    assert all(r["final_leakage"] < 1e-8 for r in doc["runs"])
 
 
 def test_solve_writes_a_lost_signal_as_null(tmp_path, monkeypatch):
@@ -191,6 +182,23 @@ def test_solve_writes_a_lost_signal_as_null(tmp_path, monkeypatch):
     jsonschema.validate(doc, schema("solve"))
     assert doc["runs"][0]["max_interference_to_signal"] is None
     assert doc["runs"][1]["max_interference_to_signal"] >= 0
+
+
+def test_every_schema_object_is_closed():
+    def open_objects(node, where):
+        if isinstance(node, dict):
+            if node.get("type") == "object" and node.get("additionalProperties") is not False:
+                yield where
+            for key, value in node.items():
+                yield from open_objects(value, f"{where}/{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from open_objects(value, f"{where}/{i}")
+
+    names = [p.name[:-5] for p in resources.files("align_lab.schemas").iterdir()
+             if p.name.endswith(".json")]
+    assert len(names) == 7
+    assert [w for name in names for w in open_objects(schema(name), name)] == []
 
 
 def test_verify_accepts_stored_witness(tmp_path):
@@ -246,6 +254,29 @@ def replaced(path, value):
         target[path[-1]] = value
         return doc
     return edit
+
+
+@pytest.mark.parametrize("command, path", [
+    (command, path) for command in ("cj3", "probe", "solve", "verify")
+    for path in ("config.sead", "config.structure.Nc")
+] + [("cj3", "verification.tolerances.tol_isr"), ("verify", "result.tolerances.tol_isr")])
+def test_schemas_reject_keys_the_reports_never_write(tmp_path, command, path):
+    # config_from_json rejects an unknown config or structure key, and so
+    # does every schema that holds a config
+    paths = write_witness_with_stray_entry(tmp_path)
+    cfg = ["--config", str(paths["config"])]
+    argv = {"cj3": ["--n", "1"],
+            "probe": cfg + ["--draws", "1"],
+            "solve": cfg + ["--trials", "1", "--max-iters", "2"],
+            "verify": cfg + ["--solution", str(paths["solution"])]}[command]
+    doc = run_json(tmp_path, [command, *argv])
+    jsonschema.validate(doc, schema(command))
+    replaced(path.split("."), 1)(doc)
+    with pytest.raises(jsonschema.ValidationError, match="Additional properties"):
+        jsonschema.validate(doc, schema(command))
+    if path.startswith("config."):
+        with pytest.raises(InvalidSpec, match="unknown"):
+            config_from_json(doc["config"])
 
 
 @pytest.mark.parametrize("flag, edit, what", [
@@ -419,6 +450,29 @@ def test_readme_config_examples_load():
     assert {cfg.structure.kind.value for cfg in cfgs} >= {"generic", "block-diagonal"}
 
 
+def test_readme_commands_parse():
+    # every command line the README shows parses, and every flag it names exists;
+    # --no-build-isolation is pip's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = build_parser()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            for prog in ("align-lab", "align_lab.cli"):
+                if prog in words:
+                    commands.append(words[words.index(prog) + 1:])
+    assert len(commands) >= 9
+    for argv in commands:
+        parser.parse_args(argv)
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {flag for sp in subparsers.choices.values()
+               for flag in sp._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    assert named - options == {"--no-build-isolation"}
+
+
 def test_exit_code_for_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"K": 3}')
@@ -516,32 +570,6 @@ def test_seeds_beyond_64_bits_are_accepted(tmp_path):
     assert doc["verification"]["aligned"]
 
 
-@pytest.mark.parametrize("command, header", [
-    ("bounds", "K,param,exact,value,source"),
-    ("cj-params", "K,n,N_exp,N_s,d_first,d_other,d_total,d_bar,d_bar_value"),
-    ("contradiction", "K,min_improper_n,N_s,d_first,d_other,N_e,N_v"),
-    ("cj3", "n,N_s,seed,leakage,max_cross_residual,direct_ranks,aligned,rank_ok,"
-            "d_bar,d_bar_value,exceeds_tdma"),
-    ("probe", "draw,nullity"),
-    ("solve", "config,trial,iters,stop_reason,final_leakage,"
-              "max_interference_to_signal,rank_ok"),
-    ("verify", "leakage,max_cross_residual,direct_ranks,aligned,rank_ok"),
-])
-def test_csv_headers_are_pinned(tmp_path, command, header):
-    paths = write_witness_with_stray_entry(tmp_path)
-    cfg = ["--config", str(paths["config"])]
-    argv = {"bounds": [],
-            "cj-params": ["--K", "4", "--n", "1:2"],
-            "contradiction": ["--K", "4:4", "--n-max", "10"],
-            "cj3": ["--n", "1"],
-            "probe": cfg + ["--draws", "1"],
-            "solve": cfg + ["--trials", "1", "--max-iters", "2"],
-            "verify": cfg + ["--solution", str(paths["solution"])]}[command]
-    out = tmp_path / "out.csv"
-    assert main([command, *argv, "--format", "csv", "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[0] == header
-
-
 def test_verify_rejects_a_solution_for_other_stream_counts(tmp_path, capsys):
     solved = generic_config(3, 4, 1, seed=0)
     sol, traj, _ = _minimize_runs([sample_channels(solved)], solved.d,
@@ -580,23 +608,38 @@ def test_exit_code_for_missing_file(tmp_path):
                  "--draws", "1", "--out", str(tmp_path / "o.json")]) == 1
 
 
-@pytest.mark.parametrize("direct", ["huge", "identity"])
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_overflowing_leakage_exits_3(tmp_path, capsys, direct, fmt):
-    # V = U = e_1 on K=2, N=2, d=1; cross channels [[1e200, 1e200], [1e200, -1e200]]
-    # square past float64, so no leakage can be reported, Infinity least of all
-    huge = [[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]]
-    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    own = huge if direct == "huge" else eye
+def pair_rows(x):
+    """[[x, x], [x, -x]] as rows of [re, im] pairs."""
+    return [[[x, 0.0], [x, 0.0]], [[x, 0.0], [-x, 0.0]]]
+
+
+EYE_ROWS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+ZERO_ROWS = [[[0.0, 0.0]] * 2] * 2
+LEAKAGE = "leakage overflows float64 at receiver 0"
+
+
+# each id names the report that must not be written
+@pytest.mark.parametrize("direct, cross, v, message", [
+    (pair_rows(1e200), pair_rows(1e200), (1.0, 0.0), LEAKAGE),
+    (EYE_ROWS, pair_rows(1e200), (1.0, 0.0), LEAKAGE),
+    (EYE_ROWS, pair_rows(1.7e308), (0.6, 0.8), LEAKAGE),
+    (pair_rows(1.7e308), ZERO_ROWS, (0.6, 0.8), "direct product of user 0 overflows float64"),
+], ids=["json-huge", "json-identity", "json-max-cross", "json-max-direct"])
+def test_overflowing_leakage_exits_3(tmp_path, capsys, direct, cross, v, message):
+    # V = U = v on K=2, N=2, d=1. Entries of 1e200 square past float64 in the
+    # leakage; with v = (0.6, 0.8), entries of 1.7e308 overflow the products H V
+    # themselves. No figure can be reported, Infinity least of all, and since a
+    # RuntimeWarning is an error here, stderr holds the one error line alone
     ch_path, sol_path = tmp_path / "ch.json", tmp_path / "sol.json"
-    ch_path.write_text(json.dumps([[own, huge], [huge, own]]))
-    e1 = [[[1.0, 0.0]], [[0.0, 0.0]]]
-    sol_path.write_text(json.dumps({"V": [e1, e1], "U": [e1, e1]}))
-    out = tmp_path / f"out.{fmt}"
+    ch_path.write_text(json.dumps([[direct, cross], [cross, direct]]))
+    vec = [[[v[0], 0.0]], [[v[1], 0.0]]]
+    sol_path.write_text(json.dumps({"V": [vec, vec], "U": [vec, vec]}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
     assert main(["verify", "--config", write_config(tmp_path, generic_config(2, 2, 1)),
                  "--channels", str(ch_path), "--solution", str(sol_path),
-                 "--format", fmt, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: leakage overflows float64 at receiver 0\n"
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -638,20 +681,18 @@ EXACT_FLAGS = {
     "contradiction": ["--K", "4:5", "--n-max", "20"],
 }
 EXACT_DIGESTS = {
-    ("bounds", "json"): "58a50c17bc9e6449afdbec3330c265f679922f0aba1a47facafb9afbe6ef0b83",
-    ("bounds", "csv"): "47d32012129df6add5857080cb94d77c6c9bd45ec56d1aa6ccd77fb4aca8fd23",
-    ("cj-params", "json"): "96bdef4832a0cb64c521764a507e458372baf7b88dca04d64e78b205826039b7",
-    ("cj-params", "csv"): "f5a6d6377d491bb7a998bda3409954ed8740ff937fe31259e34ab61745ddc764",
-    ("contradiction", "json"): "3507c379622a3468604d0d0540d15a345e50f3a7e965ca75422cf387be169a3c",
-    ("contradiction", "csv"): "e2fbcc5fcae058ba1594dcb0dbf0f74de6d99ed919d4c93a42c1b73d15118006",
+    "bounds": "58a50c17bc9e6449afdbec3330c265f679922f0aba1a47facafb9afbe6ef0b83",
+    "cj-params": "96bdef4832a0cb64c521764a507e458372baf7b88dca04d64e78b205826039b7",
+    "contradiction": "3507c379622a3468604d0d0540d15a345e50f3a7e965ca75422cf387be169a3c",
 }
 
 
-@pytest.mark.parametrize("command,fmt", list(EXACT_DIGESTS))
-def test_exact_subcommands_keep_their_bytes(tmp_path, command, fmt):
-    path = tmp_path / f"out.{fmt}"
-    assert main([command, *EXACT_FLAGS[command], "--format", fmt, "--out", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_DIGESTS[command, fmt]
+# each id names the report whose bytes are pinned
+@pytest.mark.parametrize("command", list(EXACT_DIGESTS), ids=lambda c: f"{c}-json")
+def test_exact_subcommands_keep_their_bytes(tmp_path, command):
+    path = tmp_path / "out.json"
+    assert main([command, *EXACT_FLAGS[command], "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_DIGESTS[command]
 
 
 def test_probe_reproducible_and_seed_sensitive(tmp_path, monkeypatch):
@@ -720,10 +761,20 @@ def test_seed_meaning_per_subcommand(tmp_path):
     ["contradiction", "--seed", "7"],
     ["verify", "--config", "cfg.json", "--solution", "sol.json", "--seed", "9"],
     ["export-poly", "--config", "cfg.json", "--seed", "9"],
-    ["export-poly", "--config", "cfg.json", "--format", "csv"],
+    ["export-poly", "--config", "cfg.json", "--format", "json"],
     ["solve", "--config", "cfg.json", "--restarts", "2"],
+    # one report format: no subcommand takes --format
+    ["bounds", "--format", "json"],
+    ["cj-params", "--K", "4", "--format", "json"],
+    ["contradiction", "--format", "json"],
+    ["cj3", "--format", "json"],
+    ["probe", "--config", "cfg.json", "--format", "json"],
+    ["solve", "--config", "cfg.json", "--format", "json"],
+    ["verify", "--config", "cfg.json", "--solution", "sol.json", "--format", "json"],
 ], ids=["bounds-seed", "cj-params-seed", "contradiction-seed", "verify-seed",
-        "export-poly-seed", "export-poly-format", "solve-restarts"])
+        "export-poly-seed", "export-poly-format", "solve-restarts", "bounds-format",
+        "cj-params-format", "contradiction-format", "cj3-format", "probe-format",
+        "solve-format", "verify-format"])
 def test_flags_a_subcommand_would_ignore_are_rejected(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
@@ -743,9 +794,9 @@ def run_recording_reads(argv):
             return super().__getattribute__(name)
 
     recording = RecordingNamespace(**vars(args))
-    result = recording.run(recording)
-    _emit(recording, *result)
-    return result[0], set(vars(args)) - reads - {"command", "run"}
+    report = recording.run(recording)
+    _emit(recording, report)
+    return report, set(vars(args)) - reads - {"command", "run"}
 
 
 def test_every_parsed_flag_is_read(tmp_path):
@@ -769,11 +820,12 @@ def test_every_parsed_flag_is_read(tmp_path):
                for name, argv in runs.items()}
     assert {name: unread for name, (_, unread) in results.items()} == \
         {name: set() for name in runs}
-    # every JSON report is the stdlib's indented encoding, byte for byte
-    for name, (payload, _) in results.items():
-        if payload is not None:
-            assert (tmp_path / name).read_text() == \
-                json.dumps(payload, indent=2, default=pairs) + "\n"
+    # export-poly's text is written as it is, and every JSON report is the
+    # stdlib's indented encoding, byte for byte
+    for name, (report, _) in results.items():
+        expected = report if isinstance(report, str) else \
+            json.dumps(report, indent=2, default=pairs) + "\n"
+        assert (tmp_path / name).read_text() == expected
 
 
 scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()

@@ -168,7 +168,7 @@ def test_dim_channel_space(cfg, dim):
 
 def test_bound_sweep_rows_cover_the_grid():
     args = build_parser().parse_args(["bounds", "--K", "3:6", "--n", "1:5", "--M", "1:2"])
-    rows = args.run(args)[1]
+    rows = args.run(args)["rows"]
     bound_a = [r for r in rows if r["source"] == "BoundA"]
     assert len(bound_a) == 20
     assert all(Fraction(r["exact"]) < Fraction(1, 2) for r in bound_a)

@@ -107,17 +107,23 @@ def test_lost_direct_link_has_infinite_interference_to_signal():
 
 
 HUGE = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+MAX = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=complex)
+E1 = np.array([[1.0], [0.0]], dtype=complex)
+SPREAD = np.array([[0.6], [0.8]], dtype=complex)
 
 
-@pytest.mark.parametrize("direct, cross, message", [
-    (HUGE, HUGE, "leakage overflows float64 at receiver 0"),
-    (np.eye(2), HUGE, "leakage overflows float64 at receiver 0"),
-    (HUGE, np.zeros((2, 2)), "signal power of user 0 overflows float64"),
-], ids=["all-huge", "huge-cross", "huge-direct"])
-def test_overflowing_figures_raise(direct, cross, message):
+@pytest.mark.parametrize("direct, cross, v, message", [
+    (HUGE, HUGE, E1, "leakage overflows float64 at receiver 0"),
+    (np.eye(2), HUGE, E1, "leakage overflows float64 at receiver 0"),
+    (HUGE, np.zeros((2, 2)), E1, "signal power of user 0 overflows float64"),
+    (np.eye(2), MAX, SPREAD, "leakage overflows float64 at receiver 0"),
+    (MAX, np.zeros((2, 2)), SPREAD, "direct product of user 0 overflows float64"),
+], ids=["all-huge", "huge-cross", "huge-direct", "max-cross", "max-direct"])
+def test_overflowing_figures_raise(direct, cross, v, message):
     # entries of 1e200 square past float64 in the leakage or in sigma_min^2;
-    # warnings are errors here, so no RuntimeWarning passes either
-    _, sol = identity_case()
+    # with V = U = (0.6, 0.8), entries of 1.7e308 overflow the products H V
+    # themselves. Warnings are errors here, so no RuntimeWarning passes either
+    sol = IaSolution(V=(v, v), U=(v, v))
     dense = [[direct if j == k else cross for k in range(2)] for j in range(2)]
     with pytest.raises(NumericOverflow) as exc:
         check(ChannelSet.from_dense(generic_config(2, 2, 1), dense), sol)
