@@ -124,11 +124,10 @@ def _verification_json(res: VerificationResult) -> dict:
 def cmd_cj3(args: argparse.Namespace):
     p = cj_parameters(3, args.n)
     inst = cj3_mod.build_instance(args.n, seed=args.seed)
-    res = check(inst.channels, inst.solution, tol_align=args.tol)
+    res = check(inst.channels, inst.solution)
     exact, value = _frac(p.d_bar)
     return {
-        "n": p.n, "N_s": p.N_s, "seed": args.seed, "d": list(p.d),
-        "d_bar": exact, "d_bar_value": value, "exceeds_tdma": p.d_bar > tdma_baseline(3),
+        "n": p.n, "d_bar": exact, "d_bar_value": value,
         "verification": _verification_json(res),
         "config": config_to_json(cj_config(3, args.n, seed=args.seed)),
         "channels": [list(row) for row in inst.channels.matrices],
@@ -164,7 +163,6 @@ def cmd_solve(args: argparse.Namespace):
         "best_leakage": verdict.best_leakage,
         "leakage_quantiles": {"median": median, "p90": p90},
         "classification": verdict.classification.value,
-        "witness_found": verdict.witness_found,
         "witness_status": verdict.witness_status,
         "evidence": dataclasses.asdict(verdict.evidence),
         "runs": runs,
@@ -358,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cj3", help="explicit K=3 witness on fresh diagonal channels")
     sp.add_argument("--n", type=int, default=3, help="extension index (N_s=2n+1)")
-    sp.add_argument("--tol", type=float, default=TOL_ALIGN, help="leakage tolerance")
     common(sp, cmd_cj3, seed_help="channel seed (default 0)", seed=0)
 
     sp = sub.add_parser("probe", help="nullspace probing of the channel space")

@@ -381,17 +381,17 @@ class ChannelSet:
         """Dense view: ``matrices[j][k]`` builds H[j][k], read-only and not cached."""
         return tuple(_DenseRow(self, j) for j in range(self.K))
 
-    def apply(self, j: int, k: int, x: np.ndarray) -> np.ndarray:
-        """H[j][k] @ x for an N_k x c array ``x``, from the free entries alone.
+    def apply(self, j: int, k: int, x: np.typing.ArrayLike) -> np.ndarray:
+        """H[j][k] @ x for an N_k x c array or nested list ``x``, from the free entries alone.
 
         DimensionMismatch, naming the pair, unless ``x`` is 2-D with N_k rows.
         One batched matmul over the N_c blocks; an elementwise product when
         both blocks are 1 x 1.
         """
-        shape = np.shape(x)
-        if len(shape) != 2 or shape[0] != self.N[k]:
+        x = np.asarray(x)
+        if x.ndim != 2 or x.shape[0] != self.N[k]:
             raise DimensionMismatch(f"H[{j}][{k}] @ x needs an N_k x c array with "
-                                    f"N_k={self.N[k]}, got shape {shape}")
+                                    f"N_k={self.N[k]}, got shape {x.shape}")
         v = self.free[j][k]
         n_c, m = _blocks(self)
         if m[j] == m[k] == 1:

@@ -139,13 +139,16 @@ def test_contradiction_rejects_out_of_range_users(tmp_path):
 def test_cj3_witness_payload(tmp_path):
     doc = run_json(tmp_path, ["cj3", "--n", "2", "--seed", "7"])
     jsonschema.validate(doc, schema("cj3"))
-    assert doc["N_s"] == 5
-    assert doc["d"] == [3, 2, 2]
+    # the config alone holds N_s, d and the seed
+    assert list(doc) == ["n", "d_bar", "d_bar_value", "verification", "config",
+                         "channels", "solution"]
+    assert doc["config"]["N"] == [5, 5, 5]
+    assert doc["config"]["d"] == [3, 2, 2]
     assert doc["verification"]["aligned"] is True
     assert doc["verification"]["rank_ok"] is True
     assert doc["verification"]["leakage"] < 1e-9
-    assert doc["exceeds_tdma"] is True
     assert doc["d_bar"] == "7/15"
+    assert doc["d_bar_value"] > 1 / 3
 
 
 def test_probe_fill_payload(tmp_path):
@@ -161,6 +164,9 @@ def test_solve_json(tmp_path):
     doc = run_json(tmp_path, ["solve", "--config", cfg_path, "--trials", "3",
                               "--max-iters", "800"])
     jsonschema.validate(doc, schema("solve"))
+    # witness_status alone says whether a witness was found
+    assert list(doc) == ["config", "success_rate", "best_leakage", "leakage_quantiles",
+                         "classification", "witness_status", "evidence", "runs", "options"]
     assert doc["classification"] == "LikelyFeasible"
     assert len(doc["runs"]) == 3
     assert all(r["final_leakage"] < 1e-8 for r in doc["runs"])
@@ -199,6 +205,31 @@ def test_every_schema_object_is_closed():
              if p.name.endswith(".json")]
     assert len(names) == 7
     assert [w for name in names for w in open_objects(schema(name), name)] == []
+
+
+def test_schemas_do_not_drift():
+    # a key dropped from "required" but left in "properties" still validates
+    def unrequired(node, where):
+        if isinstance(node, dict):
+            if "properties" in node:
+                for key in sorted(set(node["properties"]) - set(node.get("required", []))):
+                    yield f"{where}/properties/{key}"
+            for key, value in node.items():
+                yield from unrequired(value, f"{where}/{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from unrequired(value, f"{where}/{i}")
+
+    names = [p.name[:-5] for p in resources.files("align_lab.schemas").iterdir()
+             if p.name.endswith(".json")]
+    holders = ["cj3", "probe", "solve", "verify"]
+    # config_to_json writes M and N_c for block-diagonal configs alone
+    assert sorted(w for name in names for w in unrequired(schema(name), name)) == sorted(
+        f"{name}/$defs/config/properties/{path}" for name in holders
+        for path in ("M", "structure/properties/N_c"))
+    configs = [schema(name)["$defs"]["config"] for name in holders]
+    assert all(config == configs[0] for config in configs)
+    assert schema("cj3")["$defs"]["verification"] == schema("verify")["properties"]["result"]
 
 
 def test_verify_accepts_stored_witness(tmp_path):
@@ -345,17 +376,14 @@ def test_bool_and_int_channel_entries_are_numbers(tmp_path, entry):
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-@pytest.mark.parametrize("command", ["cj3", "verify", "solve"])
+@pytest.mark.parametrize("command", ["verify", "solve"])
 def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command, tol):
-    if command == "cj3":
-        args = ["cj3", "--n", "1"]
+    paths = write_witness_with_stray_entry(tmp_path)
+    args = [command, "--config", str(paths["config"])]
+    if command == "verify":
+        args += ["--channels", str(paths["channels"]), "--solution", str(paths["solution"])]
     else:
-        paths = write_witness_with_stray_entry(tmp_path)
-        args = [command, "--config", str(paths["config"])]
-        if command == "verify":
-            args += ["--channels", str(paths["channels"]), "--solution", str(paths["solution"])]
-        else:
-            args += ["--trials", "1", "--max-iters", "2"]
+        args += ["--trials", "1", "--max-iters", "2"]
     out = tmp_path / "o.json"
     capsys.readouterr()
     assert main(args + ["--tol", tol, "--out", str(out)]) == 2
@@ -566,7 +594,7 @@ def test_negative_seed_is_named(tmp_path, capsys, command):
 def test_seeds_beyond_64_bits_are_accepted(tmp_path):
     doc = run_json(tmp_path, ["cj3", "--n", "1", "--seed", str(2 ** 64)])
     jsonschema.validate(doc, schema("cj3"))
-    assert doc["seed"] == doc["config"]["seed"] == 2 ** 64
+    assert doc["config"]["seed"] == 2 ** 64
     assert doc["verification"]["aligned"]
 
 
@@ -743,7 +771,7 @@ def test_seed_meaning_per_subcommand(tmp_path):
     doc = run_json(tmp_path, solve + ["--seed", "2"])
     assert (doc["config"]["seed"], doc["options"]["seed"]) == (3, 2)
     # cj3: --seed is the channel seed, 0 by default
-    assert run_json(tmp_path, ["cj3", "--n", "1"])["seed"] == 0
+    assert run_json(tmp_path, ["cj3", "--n", "1"])["config"]["seed"] == 0
     # verify and export-poly: the config's seed is the channel seed; no flag
     # overrides it (see test_flags_a_subcommand_would_ignore_are_rejected)
     paths = write_witness_with_stray_entry(tmp_path)
@@ -763,6 +791,8 @@ def test_seed_meaning_per_subcommand(tmp_path):
     ["export-poly", "--config", "cfg.json", "--seed", "9"],
     ["export-poly", "--config", "cfg.json", "--format", "json"],
     ["solve", "--config", "cfg.json", "--restarts", "2"],
+    # cj3 checks its own unit-variance channels at verify's default tolerance
+    ["cj3", "--tol", "1e-8"],
     # one report format: no subcommand takes --format
     ["bounds", "--format", "json"],
     ["cj-params", "--K", "4", "--format", "json"],
@@ -772,9 +802,9 @@ def test_seed_meaning_per_subcommand(tmp_path):
     ["solve", "--config", "cfg.json", "--format", "json"],
     ["verify", "--config", "cfg.json", "--solution", "sol.json", "--format", "json"],
 ], ids=["bounds-seed", "cj-params-seed", "contradiction-seed", "verify-seed",
-        "export-poly-seed", "export-poly-format", "solve-restarts", "bounds-format",
-        "cj-params-format", "contradiction-format", "cj3-format", "probe-format",
-        "solve-format", "verify-format"])
+        "export-poly-seed", "export-poly-format", "solve-restarts", "cj3-tol",
+        "bounds-format", "cj-params-format", "contradiction-format", "cj3-format",
+        "probe-format", "solve-format", "verify-format"])
 def test_flags_a_subcommand_would_ignore_are_rejected(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)

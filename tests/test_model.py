@@ -471,6 +471,8 @@ def test_apply_matches_the_dense_product(cfg):
                 got, want = ch.apply(j, k, x), h @ x
                 assert got.shape == (cfg.N[j], cols)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (j, k)
+                # nested lists are read as the array they spell
+                assert np.array_equal(ch.apply(j, k, x.tolist()), got), (j, k)
 
 
 def test_dense_view_is_built_on_access():
