@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import cj_config, cj_parameters
-from .errors import DegenerateSpan, DimensionMismatch, SingularChannel
+from .errors import DegenerateSpan, DimensionMismatch, NumericOverflow, SingularChannel
 from .model import ChannelSet, IaSolution, StructureKind, sample_channels
 from .subspaces import orthonormal_columns
 
@@ -86,12 +86,18 @@ def _krylov_basis(t: np.ndarray, dim: int) -> np.ndarray:
     power basis is numerically useless already at moderate n, and any basis of
     the same space is as good (changing basis within a precoder is gauge
     freedom). Breakdown before ``dim`` directions means the channels are
-    degenerate (repeated ratio values).
+    degenerate (repeated ratio values). NumericOverflow when w or its norm
+    exceeds float64, which a small |t_m| does at large ``dim``.
     """
     n_s = t.shape[0]
     q = np.empty((n_s, dim), dtype=complex)
-    w = np.abs(t) ** (-(dim - 1) / 2.0)
-    q[:, 0] = w / np.linalg.norm(w)
+    with np.errstate(over="ignore"):
+        w = np.abs(t) ** (-(dim - 1) / 2.0)
+        w_norm = np.linalg.norm(w)
+    if not np.isfinite(w_norm):
+        raise NumericOverflow(f"the Krylov start vector |t|^(-{(dim - 1) / 2}) has a "
+                              "norm beyond the float64 range")
+    q[:, 0] = w / w_norm
     for i in range(1, dim):
         z = t * q[:, i - 1]
         scale = float(np.linalg.norm(z))

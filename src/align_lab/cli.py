@@ -245,48 +245,18 @@ def polynomial_system_text(cfg: SystemConfig, ch: ChannelSet) -> str:
 # ---------------------------------------------------------------------------
 # JSON: a complex matrix is rows of [re, im] pairs, written and read here alone
 
-def _matrix_text(m: np.ndarray, indent: str) -> str:
-    """A complex matrix as rows of [re, im] pairs, as ``json.dumps(indent=2)`` writes
-    those nested lists at the line prefix ``indent``, filled into one template."""
-    r, c = m.shape
-    in1, in2, in3 = indent + "  ", indent + "    ", indent + "      "
-    pair = f"{in2}[{in3}%s,{in3}%s{in2}]"
-    row = f"[{','.join([pair] * c)}{in1}]" if c else "[]"
-    template = f"[{','.join([in1 + row] * r)}{indent}]" if r else "[]"
-    # model._frozen keeps every entry finite, and for a finite float json
-    # writes float.__repr__
-    floats = np.ascontiguousarray(m).view(float)
-    return template % tuple(map(float.__repr__, floats.ravel().tolist()))
+def _pairs(value) -> list:
+    """``json.dumps``'s ``default``: a complex matrix as rows of [re, im] pairs.
 
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, default=...)``, byte for byte, where ``default``
-    turns a complex matrix into nested [re, im] lists; matrices are written in bulk.
-
-    Dicts, lists and tuples recurse; each key and scalar goes through
-    ``json.dumps``; a complex matrix (an ``np.ndarray``) goes through
-    ``_matrix_text``.
+    TypeError for anything else, as json raises for a type it cannot write.
     """
-    if isinstance(value, np.ndarray):
-        return _matrix_text(value, indent)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        # json.dumps({k: 0}) is '{<k>: 0}': the key under json's own rules
-        items = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
-                 for k, v in value.items()]
-        open_, close = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
-        open_, close = "[", "]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return open_ + close
-    return f"{open_}{inner}{(',' + inner).join(items)}{indent}{close}"
+    if isinstance(value, np.ndarray) and value.dtype == complex:
+        return np.ascontiguousarray(value).view(float).reshape(*value.shape, 2).tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    """The complex matrix that ``_json_text`` wrote as rows of [re, im] pairs, every bit kept.
+    """The complex matrix that ``_pairs`` wrote as rows of [re, im] pairs, every bit kept.
 
     ValueError unless ``rows`` is a rectangle of [re, im] pairs of numbers
     or booleans. An empty matrix passes through for the caller's shape
@@ -391,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args: argparse.Namespace, report) -> None:
-    """Write ``report`` to --out or stdout: text as it is, a payload as JSON."""
-    text = report if isinstance(report, str) else _json_text(report) + "\n"
+    """Write ``report`` to --out or stdout: text as it is, a payload as one line
+    of compact JSON (with no ``indent``, ``json.dumps`` runs its C encoder)."""
+    text = report if isinstance(report, str) else json.dumps(report, default=_pairs) + "\n"
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
     else:

@@ -26,7 +26,8 @@ class DegenerateSpan(AlignLabError):
 
 
 class NumericOverflow(AlignLabError):
-    """A figure that ``check`` reports exceeds the float64 range."""
+    """A figure exceeds the float64 range: one that ``check`` reports, or the
+    start vector of the ``cj3`` witness's Krylov basis."""
 
 
 class InvalidSpec(AlignLabError):

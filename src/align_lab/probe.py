@@ -43,11 +43,15 @@ class ProbeReport:
     """
 
     draws: int
-    nontrivial_draws: int
     per_draw_nullity: tuple[int, ...]
     span_rank: int
     dim_target: int
     filled: bool
+
+    @property
+    def nontrivial_draws(self) -> int:
+        """Draws with a nonzero nullity; the report writes ``per_draw_nullity`` alone."""
+        return sum(1 for x in self.per_draw_nullity if x >= 1)
 
 
 def pair_block(u: np.ndarray, v: np.ndarray, rows: np.ndarray,
@@ -144,7 +148,6 @@ def run_probe(cfg: SystemConfig, draws: int, seed: int = 0) -> ProbeReport:
                     for _, rows, _, _, bases in plans for q in bases)
     dim_target = dim_channel_space(cfg)
     return ProbeReport(draws=draws,
-                       nontrivial_draws=sum(1 for x in nullities if x >= 1),
                        per_draw_nullity=tuple(nullities),
                        span_rank=span_rank,
                        dim_target=dim_target,

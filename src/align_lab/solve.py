@@ -43,7 +43,7 @@ import numpy as np
 
 from . import cj3
 from .counting import cj_config
-from .errors import DegenerateSpan, RankDeficient, SingularChannel
+from .errors import DegenerateSpan, NumericOverflow, RankDeficient, SingularChannel
 from .model import (ChannelSet, IaSolution, SystemConfig, _count, _seed, complex_normal,
                     cross_pairs, pair_support, sample_channels, substream)
 from .subspaces import _BATCH_BYTES
@@ -483,7 +483,7 @@ def _witness(cfg: SystemConfig, opts: SolverOptions) -> str:
     try:
         inst = cj3.build_instance(n, seed=cfg.seed)
         res = check(inst.channels, inst.solution, tol_align=opts.tol_align)
-    except (SingularChannel, DegenerateSpan, RankDeficient) as exc:
+    except (SingularChannel, DegenerateSpan, RankDeficient, NumericOverflow) as exc:
         return f"raised: {type(exc).__name__}: {exc}"
     return "verified" if res.aligned and res.rank_ok else "failed_check"
 

@@ -11,7 +11,7 @@ import pytest
 
 from align_lab.cj3 import Cj3Instance, build_instance, construct
 from align_lab.counting import cj_config, cj_parameters, tdma_baseline
-from align_lab.errors import DegenerateSpan, DimensionMismatch, SingularChannel
+from align_lab.errors import DegenerateSpan, DimensionMismatch, NumericOverflow, SingularChannel
 from align_lab.model import (
     ChannelSet,
     IaSolution,
@@ -160,6 +160,13 @@ def test_rescaled_precoders_that_lose_rank_raise():
         free[k][0][0] *= 1e16
     with pytest.raises(DegenerateSpan, match=r"^rescaled precoders lost rank \(1, 1 < 2\)$"):
         construct(ChannelSet(ch, free), 2)
+
+
+def test_start_vector_beyond_float64_is_named():
+    # |t|^(-n/2) at seed 0 overflows from about n=140 on; numpy's warning is
+    # silenced and the overflow named before the chain divides by the norm
+    with pytest.raises(NumericOverflow, match=r"^the Krylov start vector \|t\|\^\(-100\.0\) "):
+        build_instance(200, seed=0)
 
 
 def test_instance_shape_guard():

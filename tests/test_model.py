@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from align_lab.cli import _json_text, _matrices_from_json
+from align_lab.cli import _matrices_from_json, _pairs
 from align_lab.counting import (cj_config, cj_parameters, dim_channel_space, equation_count,
                                 improper_by_threshold, min_improper_n, symmetric_bound,
                                 tdma_baseline)
@@ -150,7 +150,7 @@ def test_validate_rejects_seed_out_of_range():
 
 def _probe_draws(draws):
     report = run_probe(generic_config(3, 2, 1), draws)
-    _json_text(dataclasses.asdict(report))    # the probe payload must encode
+    json.dumps(dataclasses.asdict(report), default=_pairs)    # the probe payload must encode
     return report.draws
 
 
@@ -560,7 +560,7 @@ def test_config_json_round_trip(cfg):
 def test_channels_json_round_trip_is_exact():
     for cfg in (generic_config(3, (2, 3, 2), 1, seed=21), *SHAPES[2:]):
         ch = sample_channels(cfg)
-        doc = json.loads(_json_text([list(row) for row in ch.matrices]))
+        doc = json.loads(json.dumps([list(row) for row in ch.matrices], default=_pairs))
         back = ChannelSet.from_dense(cfg, _matrices_from_json(doc, "channels"))
         assert (back.N, back.structure, back.M) == (ch.N, ch.structure, ch.M)
         assert all(np.array_equal(a, b) for ra, rb in zip(ch.free, back.free)
@@ -571,7 +571,7 @@ def test_solution_json_round_trip_is_exact():
     rng = substream(17, 0)
     sol = IaSolution(V=(complex_normal(rng, 4, 2), complex_normal(rng, 3, 1)),
                      U=(complex_normal(rng, 4, 2), complex_normal(rng, 3, 1)))
-    doc = json.loads(_json_text({"V": sol.V, "U": sol.U}))
+    doc = json.loads(json.dumps({"V": sol.V, "U": sol.U}, default=_pairs))
     back = IaSolution(*_matrices_from_json(doc, "solution", ("V", "U")))
     assert back.d == sol.d
     for a, b in zip(back.V + back.U, sol.V + sol.U):
@@ -585,7 +585,7 @@ def test_json_matrices_keep_the_sign_of_zero():
     got = np.signbit(np.concatenate([m.view(float).ravel() for m in sol.V + sol.U]))
     assert got.tolist() == [True, False, False, True, True, True, False, True]
     # and the writer puts them back as they were read
-    assert _json_text({"V": sol.V, "U": sol.U}) == json.dumps(doc, indent=2)
+    assert json.dumps({"V": sol.V, "U": sol.U}, default=_pairs) == json.dumps(doc)
 
 
 @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 64 - 1))

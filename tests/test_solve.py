@@ -33,6 +33,7 @@ from align_lab.solve import (
     _minimize_runs,
     _stop_reason,
     _trial_channel_seed,
+    _witness,
     classify,
     run_trials,
 )
@@ -699,6 +700,12 @@ def test_failed_witness_is_reported_not_swallowed(tmp_path, monkeypatch, constru
     assert not verdict.witness_found
     doc = solve_json(tmp_path, cfg, opts)
     assert doc["witness_status"] == status
+
+
+def test_overflowing_witness_is_reported_not_raised():
+    # at n=200 the witness's Krylov start vector exceeds float64 (seed 0)
+    status = _witness(cj_config(3, 200), TRY_WITNESS)
+    assert status.startswith("raised: NumericOverflow: the Krylov start vector")
 
 
 def test_stop_reason_zero_when_cross_channels_vanish():
